@@ -1,11 +1,13 @@
 """Linearization machinery: linear parts, Koenigs conjugacies, decay bounds
 and the asymptotic fate of mixed contracting/expanding orbit sequences.
 
-The neighborhood conjugacy of a nonlinear contraction to its linear part is
-computed by the Koenigs limit h(x) = lim lam**(-n) f^n(x) with lam = f'(0),
-tabulated on a symmetric grid and interpolated monotonically. The expansive
-case runs the same limit on the numeric inverse map (whose slope at zero is
-the reciprocal) and yields the same h.
+The neighborhood conjugacy h of a hyperbolic map f to its linear part,
+h(f(x)) = lam h(x) with lam = f'(0), is tabulated on a symmetric grid and
+interpolated monotonically. A contraction uses the Koenigs limit
+h(x) = lim lam**(-n) f^n(x) (G. Koenigs, 1884). An expansive map uses the
+Poincare function H = h^-1, H(lam y) = f(H(y)), through the limit
+H(y) = lim f^n(y / lam**n) (J. Milnor, Dynamics in One Complex Variable,
+section 8); it needs only forward evaluations of f, no root finding.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from .errors import (
 )
 from .conjugacy import TabulatedHomeomorphism
 from .ifs import IfsDescriptor, orbit_trajectory
-from .rootfind import monotone_inverse_batch
+# unused here; perfbench/tracing.py and its tests look the name up in this module
+from .rootfind import monotone_inverse_batch  # noqa: F401
 from .sequences import SymbolSequence
 
 CASE_SAME_INTERVAL = "case1-same-interval"
@@ -83,6 +86,70 @@ def linear_part(F: IfsDescriptor, fixed_point_tol: float = 1e-12) -> LinearPartR
     return LinearPartResult(lin, tags, case)
 
 
+def _settled(tables, stop_tol: float, fail_tol: float, depth: int):
+    """First table that agrees with its predecessor to stop_tol.
+
+    tables yields successive approximations of one limit; returns the table
+    and how many steps past the first it is. Raises ConvergenceFailureError
+    when the last two tables still differ by more than fail_tol.
+    """
+    table = next(tables)
+    diff = math.inf
+    steps = 0
+    for steps, nxt in enumerate(tables, 1):
+        diff = float(np.max(np.abs(nxt - table)))
+        table = nxt
+        if diff <= stop_tol:
+            break
+    if not diff <= fail_tol:
+        raise ConvergenceFailureError(
+            f"Koenigs iteration still moving by {diff:.3e} at depth {depth}",
+            residual=diff,
+        )
+    return table, steps
+
+
+def _koenigs_tables(f, lam: float, xs: np.ndarray, depth: int):
+    """lam**(-n) f^n(xs) for n = 0..depth."""
+    y = xs
+    lam_pow = 1.0
+    yield xs
+    for _ in range(depth):
+        y = np.asarray(f(y), dtype=float)
+        lam_pow *= lam
+        yield y / lam_pow
+
+
+def _poincare_tables(f, lam: float, ys: np.ndarray, start: int, depth: int):
+    """f^n(ys / lam**n) for n = start..depth."""
+    for n in range(start, depth + 1):
+        u = ys / lam**n
+        for _ in range(n):
+            u = f(u)
+        yield u
+
+
+def _poincare_range(f, lam, r, depth, stop_tol, fail_tol):
+    """Smallest Y = r * 2**j, j < 60, with H(-Y) <= -r and H(Y) >= r.
+
+    Returns Y and the step before the one at which H(+-Y) settled: the
+    error of f^n(y / lam**n) scales as y**2 / lam**n, so the edges of the
+    table settle last and its depth loop can start there.
+    """
+    y_max = r
+    for _ in range(60):
+        # one float at a time: scalar evaluation of f is several times
+        # cheaper than a call on a two-element array
+        (lo, n_lo), (hi, n_hi) = (
+            _settled(_poincare_tables(f, lam, y, 0, depth), stop_tol, fail_tol, depth)
+            for y in (-y_max, y_max)
+        )
+        if lo <= -r and hi >= r:
+            return y_max, max(n_lo, n_hi) - 1
+        y_max *= 2.0
+    raise ConvergenceFailureError(f"Poincare function does not cover [-{r:g}, {r:g}]")
+
+
 def koenigs_conjugacy(
     f: ScalarMap,
     neighborhood_radius: float = 0.5,
@@ -91,11 +158,16 @@ def koenigs_conjugacy(
     stop_tol: float = 1e-13,
     fail_tol: float = 1e-10,
 ) -> TabulatedHomeomorphism:
-    """Tabulated conjugacy of f to its linear part x -> f'(0) x near zero.
+    """Tabulated conjugacy h of f to its linear part: h(f(x)) = f'(0) h(x).
 
-    Iterates lam**(-n) f^n on the node grid until successive tables agree to
-    stop_tol; an expansive f (|f'(0)| > 1) is handled by iterating the
-    numeric inverse of f instead, which produces the identical limit.
+    A contraction (|f'(0)| < 1) iterates the Koenigs limit
+    h = lim lam**(-n) f^n on a symmetric grid of [-r, r] until successive
+    tables agree to stop_tol. An expansive f tabulates the Poincare function
+    H = h^-1 = lim f^n(y / lam**n) instead, which needs only forward
+    evaluations of f: the y-range [-Y, Y] starts at Y = r and doubles until
+    H(-Y) <= -r and H(Y) >= r, so that h is defined on all of [-r, r].
+    Either way the table that is still moving by more than fail_tol at
+    depth raises ConvergenceFailureError.
     """
     lam = f.slope_at_zero
     if abs(float(f(0.0))) > 1e-12:
@@ -108,41 +180,24 @@ def koenigs_conjugacy(
     if nodes < 3 or nodes % 2 == 0:
         raise ValueError("nodes must be an odd count >= 3 so the grid contains 0")
 
+    mid = nodes // 2
     expansive = abs(lam) > 1.0
     if expansive:
-        def step(y):
-            inv, valid = monotone_inverse_batch(f, y, -r, r, machine_precision=True)
-            if not valid.all():
-                raise ConvergenceFailureError("inverse iteration left the bracket")
-            return inv
-
-        lam_eff = 1.0 / lam
+        y_max, start = _poincare_range(f, lam, r, depth, stop_tol, fail_tol)
+        grid = np.linspace(-y_max, y_max, nodes)
+        grid[mid] = 0.0
+        tables = _poincare_tables(f, lam, grid, start, depth)
     else:
-        step = f
-        lam_eff = lam
-
-    xs = np.linspace(-r, r, nodes)
-    y = xs.copy()
-    lam_pow = 1.0
-    h = xs.copy()
-    diff = math.inf
-    for _ in range(depth):
-        y = np.asarray(step(y), dtype=float)
-        lam_pow *= lam_eff
-        h_next = y / lam_pow
-        diff = float(np.max(np.abs(h_next - h)))
-        h = h_next
-        if diff <= stop_tol:
-            break
-    if diff > fail_tol:
-        raise ConvergenceFailureError(
-            f"Koenigs iteration still moving by {diff:.3e} at depth {depth}",
-            residual=diff,
-        )
-    h[nodes // 2] = 0.0
-    if not np.all(np.diff(h) > 0):
+        grid = np.linspace(-r, r, nodes)
+        grid[mid] = 0.0
+        tables = _koenigs_tables(f, lam, grid, depth)
+    table, _ = _settled(tables, stop_tol, fail_tol, depth)
+    table[mid] = 0.0
+    if not np.all(np.diff(table) > 0):
         raise ConvergenceFailureError("tabulated conjugacy is not strictly monotone")
-    return TabulatedHomeomorphism(xs, h)
+    if expansive:
+        return TabulatedHomeomorphism(table, grid)
+    return TabulatedHomeomorphism(grid, table)
 
 
 @dataclass(frozen=True)
@@ -207,10 +262,6 @@ class SequenceFateReport:
     lyapunov_sum: float
     predicted_fate: str
     margin: float = FATE_MARGIN
-
-    @property
-    def orbit_samples(self):
-        return list(zip(self.ns.tolist(), self.orbit_f_abs.tolist()))
 
 
 def classify_sequence_fate(

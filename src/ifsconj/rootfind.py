@@ -17,15 +17,11 @@ def monotone_inverse_batch(
     hi: float,
     tol: float = 1e-12,
     max_expand: int = 60,
-    machine_precision: bool = False,
 ):
-    """Solve f(x) = y for each y by bracketed bisection.
+    """Solve f(x) = y for each y by bracketed bisection to tol.
 
     Returns (xs, valid); entries that could not be bracketed within
-    max_expand doublings are NaN with valid False. machine_precision
-    bisects until the brackets collapse onto adjacent floats, which keeps
-    the RELATIVE error at machine scale even for targets near zero
-    (iterated-inverse callers amplify absolute errors exponentially).
+    max_expand doublings are NaN with valid False.
     """
     ys = np.asarray(ys, dtype=float)
     increasing = float(f(hi)) > float(f(lo))
@@ -55,14 +51,9 @@ def monotone_inverse_batch(
 
     valid = ~(need_hi | need_lo)
     span = his - los
-    if machine_precision:
-        iters = 1100
-    else:
-        iters = int(np.ceil(np.log2(max(span.max(), tol) / tol))) + 2
+    iters = int(np.ceil(np.log2(max(span.max(), tol) / tol))) + 2
     for _ in range(iters):
         mid = 0.5 * (los + his)
-        if machine_precision and not np.any((los < mid) & (mid < his)):
-            break
         go_right = sgn * np.asarray(f(mid), dtype=float) < target
         los = np.where(go_right, mid, los)
         his = np.where(go_right, his, mid)
@@ -70,8 +61,3 @@ def monotone_inverse_batch(
     xs = np.where(valid, xs, np.nan)
     return xs, valid
 
-
-def monotone_inverse(f, y: float, lo: float, hi: float, tol: float = 1e-12):
-    """Scalar convenience wrapper; returns None when unbracketable."""
-    xs, valid = monotone_inverse_batch(f, np.array([y]), lo, hi, tol)
-    return float(xs[0]) if valid[0] else None

@@ -1,6 +1,8 @@
 """CLI subcommands: exit codes, report envelopes, CSV output, determinism."""
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -36,6 +38,17 @@ def test_verify_fixture_passes(tmp_path):
     assert rep["report"]["residual_sup"] <= 1e-9
     assert rep["version"]
     assert rep["config"]["bridge"] == "power-law"
+
+
+def test_output_file_mode_follows_umask(tmp_path):
+    inp = write(tmp_path, "conj.json", CONJ_DOC)
+    out = str(tmp_path / "report.json")
+    old = os.umask(0o022)
+    try:
+        assert main(["verify", "--input", inp, "--output", out]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(out).st_mode) == 0o644
 
 
 def test_conjugacy_emits_homeomorphism_description(tmp_path):

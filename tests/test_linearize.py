@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifsconj import (
     BernoulliSequence,
@@ -119,6 +121,40 @@ def test_koenigs_depth_failure():
     f = smooth(0.9, 0.05)
     with pytest.raises(ConvergenceFailureError):
         koenigs_conjugacy(f, 0.5, depth=2)
+
+
+def test_koenigs_expansive_depth_failure():
+    with pytest.raises(ConvergenceFailureError):
+        koenigs_conjugacy(smooth(2.0, 0.1), 0.5, depth=2)
+
+
+# c > 0 leaves H(-r) short of -r, c < 0 leaves H(r) short of r
+@pytest.mark.parametrize("f", [smooth(2.0, 0.1), smooth(-3.0, 0.1), smooth(2.0, -0.1)])
+def test_koenigs_expansive_covers_neighborhood(f):
+    h = koenigs_conjugacy(f, 0.5)
+    assert h.xs[0] <= -0.5 and h.xs[-1] >= 0.5
+    xs = np.linspace(-0.5, 0.5, 2001)
+    assert np.max(np.abs(h.invert(h(xs)) - xs)) <= 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(
+    magnitude=st.one_of(st.floats(0.2, 0.8), st.floats(1.5, 4.0)),
+    sign=st.sampled_from([1.0, -1.0]),
+    c=st.floats(0.0, 0.1),
+)
+def test_koenigs_residual_property(magnitude, sign, c):
+    lam = sign * magnitude
+    f = smooth(lam, c)
+    h = koenigs_conjugacy(f, 0.5)
+    xs = np.linspace(-0.5, 0.5, 2001)
+    fx = f(xs)
+    inside = (fx >= h.xs[0]) & (fx <= h.xs[-1])
+    assert inside.any()
+    residual = np.abs(h(fx[inside]) - lam * h(xs[inside]))
+    assert np.max(residual) <= 1e-6
+    assert h(0.0) == 0.0
+    assert np.all(np.diff(h.xs) > 0) and np.all(np.diff(h.ys) > 0)
 
 
 # -- decay bound ----------------------------------------------------------------
