@@ -1,11 +1,8 @@
-"""Hot numeric kernels with numba-accelerated and pure-numpy implementations.
+"""Numeric kernels: orbit chains, fundamental-domain evaluation and the
+Lipschitz difference-quotient maximum.
 
-Every kernel exists twice: an @njit version compiled by numba and a numpy
-fallback. The active path is chosen once at import time from the
-IFS_CONJ_NUMBA environment variable ("0"/"false" forces the fallback,
-"1"/"true" requests numba, unset means numba-if-available). Both paths are
-kept behaviourally identical; tests and benchmarks/bench_kernels.py compare
-them directly through the IMPLS registry.
+Each kernel has one numpy implementation, called under its public name by
+ifs, attractor, conjugacy and catalog.
 
 Catalog maps are encoded for the kernels as (code, k, c, b) rows:
 
@@ -20,34 +17,8 @@ Bridge codes: 0 linear interpolation, 1 power law.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def _env_wants_numba() -> bool:
-    raw = os.environ.get("IFS_CONJ_NUMBA", "").strip().lower()
-    if raw in ("0", "false", "off", "no"):
-        return False
-    return HAVE_NUMBA
-
-
-USE_NUMBA = _env_wants_numba()
 
 MAP_LINEAR = 0
 MAP_SINE = 1
@@ -59,51 +30,15 @@ BRIDGE_POWER = 1
 
 
 # ---------------------------------------------------------------------------
-# scalar map evaluation
-# ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _nb_map_eval(code, k, c, b, x):
-    if code == MAP_LINEAR:
-        return k * x + b
-    if code == MAP_SINE:
-        return k * x + c * math.sin(x)
-    if code == MAP_RATIONAL:
-        return k * x + c * x / (1.0 + x * x)
-    return k * x + c * x * x / (1.0 + x * x)
-
-
-def _np_map_eval(code, k, c, b, x):
-    x = np.asarray(x, dtype=np.float64)
-    if code == MAP_LINEAR:
-        return k * x + b
-    if code == MAP_SINE:
-        return k * x + c * np.sin(x)
-    if code == MAP_RATIONAL:
-        return k * x + c * x / (1.0 + x * x)
-    return k * x + c * x * x / (1.0 + x * x)
-
-
-# ---------------------------------------------------------------------------
 # orbit chain: x_{t+1} = f_{sym_t}(x_t), full trajectory returned
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _nb_orbit_chain(codes, ks, cs, bs, symbols, x0):
-    n = symbols.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    x = x0
-    for t in range(n):
-        if not math.isfinite(x):
-            out[t:] = x
-            break
-        s = symbols[t]
-        x = _nb_map_eval(codes[s], ks[s], cs[s], bs[s], x)
-        out[t] = x
-    return out
+def orbit_chain(codes, ks, cs, bs, symbols, x0):
+    """Trajectory of x0 under the maps picked by symbols.
 
-
-def _np_orbit_chain(codes, ks, cs, bs, symbols, x0):
+    Once the orbit is non-finite, the rest of the trajectory holds that
+    non-finite value.
+    """
     n = symbols.shape[0]
     out = np.empty(n, dtype=np.float64)
     x = float(x0)
@@ -131,25 +66,8 @@ def _np_orbit_chain(codes, ks, cs, bs, symbols, x0):
     return out
 
 
-# ---------------------------------------------------------------------------
-# diagonal orbit chain in R^m
-# ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _nb_orbit_chain_diag(diags, symbols, x0):
-    n = symbols.shape[0]
-    m = x0.shape[0]
-    out = np.empty((n, m), dtype=np.float64)
-    x = x0.copy()
-    for t in range(n):
-        s = symbols[t]
-        for i in range(m):
-            x[i] = diags[s, i] * x[i]
-            out[t, i] = x[i]
-    return out
-
-
-def _np_orbit_chain_diag(diags, symbols, x0):
+def orbit_chain_diag(diags, symbols, x0):
+    """Trajectory in R^m of x0 under the diagonal maps picked by symbols."""
     n = symbols.shape[0]
     out = np.empty((n, x0.shape[0]), dtype=np.float64)
     x = np.array(x0, dtype=np.float64)
@@ -169,79 +87,42 @@ def _np_orbit_chain_diag(diags, symbols, x0):
 # extension handles negative arguments. Returns NaN where the step cap is hit.
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _nb_fd_eval(x, kc, mc, a, bridge_code, cap):
-    n = x.shape[0]
-    out = np.empty(n, dtype=np.float64)
+def _walk(w, e, idx, kc, a, cap, inward):
+    """Step w[idx] by kc until it lies in [kc*a, a], at most cap + 1 times.
+
+    Inward steps multiply by kc (entries above a), outward steps divide by kc
+    (entries below kc*a). Settled entries are written back to w, their step
+    count added to e (negative inward), and dropped from the working set.
+    Returns the indices still outside after the cap.
+    """
     lo = kc * a
-    if bridge_code == BRIDGE_POWER:
-        alpha = math.log(mc) / math.log(kc)
-    else:
-        alpha = 0.0
-    slope = (a - mc * a) / (a - lo)
-    for i in range(n):
-        v = abs(x[i])
-        if v == 0.0:
-            out[i] = 0.0
-            continue
-        w = v
-        e = 0
-        steps = 0
-        bad = False
-        while w > a:
-            w *= kc
-            e -= 1
-            steps += 1
-            if steps > cap:
-                bad = True
-                break
-        while not bad and w < lo:
-            w /= kc
-            e += 1
-            steps += 1
-            if steps > cap:
-                bad = True
-                break
-        if bad:
-            out[i] = np.nan
-            continue
-        if bridge_code == BRIDGE_POWER:
-            y = a * (w / a) ** alpha
+    ww = w[idx]
+    for n in range(1, cap + 2):
+        if idx.size == 0:
+            break
+        if inward:
+            ww = ww * kc
+            out = ww > a
         else:
-            y = mc * a + (w - lo) * slope
-        out[i] = math.copysign(y * mc ** e, x[i])
-    return out
+            ww = ww / kc
+            out = ww < lo
+        if not out.all():
+            done = ~out
+            w[idx[done]] = ww[done]
+            e[idx[done]] += -n if inward else n
+            idx, ww = idx[out], ww[out]
+    return idx
 
 
-def _np_fd_eval(x, kc, mc, a, bridge_code, cap):
-    v = np.abs(np.asarray(x, dtype=np.float64))
-    sign = np.sign(x)
+def fd_eval(x, kc, mc, a, bridge_code, cap):
+    x = np.asarray(x, dtype=np.float64)
+    v = np.abs(x).ravel()
     lo = kc * a
     w = v.copy()
     e = np.zeros(v.shape, dtype=np.int64)
     nonzero = v > 0.0
-
-    active = w > a
-    steps = 0
-    while np.any(active):
-        w[active] *= kc
-        e[active] -= 1
-        steps += 1
-        if steps > cap:
-            break
-        active = w > a
-    overflow_high = w > a
-
-    active = nonzero & (w < lo) & ~overflow_high
-    steps = 0
-    while np.any(active):
-        w[active] /= kc
-        e[active] += 1
-        steps += 1
-        if steps > cap:
-            break
-        active = nonzero & (w < lo)
-    overflow_low = nonzero & (w < lo)
+    stuck_high = _walk(w, e, np.flatnonzero(w > a), kc, a, cap, inward=True)
+    stuck_low = _walk(w, e, np.flatnonzero(nonzero & (w < lo)), kc, a, cap, inward=False)
 
     if bridge_code == BRIDGE_POWER:
         alpha = math.log(mc) / math.log(kc)
@@ -249,81 +130,25 @@ def _np_fd_eval(x, kc, mc, a, bridge_code, cap):
             y = a * (w / a) ** alpha
     else:
         y = mc * a + (w - lo) * ((a - mc * a) / (a - lo))
-    out = sign * y * np.power(mc, e.astype(np.float64))
+    out = np.sign(x).ravel() * y * np.power(mc, e.astype(np.float64))
     out[~nonzero] = 0.0
-    out[overflow_high | overflow_low] = np.nan
-    return out
+    out[stuck_high] = np.nan
+    out[stuck_low] = np.nan
+    return out.reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
-# all-pairs Lipschitz difference quotient maximum
+# Lipschitz difference-quotient maximum
 # ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _nb_pairwise_quotient_max(xs, fx):
-    n = xs.shape[0]
-    best = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx = xs[j] - xs[i]
-            if dx != 0.0:
-                q = abs((fx[j] - fx[i]) / dx)
-                if q > best:
-                    best = q
-    return best
-
-
-def _np_pairwise_quotient_max(xs, fx):
-    dx = xs[:, None] - xs[None, :]
-    df = fx[:, None] - fx[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.abs(df / dx)
-    q[~np.isfinite(q)] = 0.0
-    return float(q.max())
-
-
-IMPLS = {
-    "numpy": {
-        "orbit_chain": _np_orbit_chain,
-        "orbit_chain_diag": _np_orbit_chain_diag,
-        "fd_eval": _np_fd_eval,
-        "pairwise_quotient_max": _np_pairwise_quotient_max,
-    },
-}
-if HAVE_NUMBA:
-    IMPLS["numba"] = {
-        "orbit_chain": _nb_orbit_chain,
-        "orbit_chain_diag": _nb_orbit_chain_diag,
-        "fd_eval": _nb_fd_eval,
-        "pairwise_quotient_max": _nb_pairwise_quotient_max,
-    }
-
-_ACTIVE = IMPLS["numba"] if USE_NUMBA else IMPLS["numpy"]
-
-
-def orbit_chain(codes, ks, cs, bs, symbols, x0):
-    return _ACTIVE["orbit_chain"](codes, ks, cs, bs, symbols, float(x0))
-
-
-def orbit_chain_diag(diags, symbols, x0):
-    return _ACTIVE["orbit_chain_diag"](diags, symbols, x0)
-
-
-def fd_eval(x, kc, mc, a, bridge_code, cap):
-    return _ACTIVE["fd_eval"](x, kc, mc, a, bridge_code, cap)
-
 
 def pairwise_quotient_max(xs, fx):
-    return float(_ACTIVE["pairwise_quotient_max"](xs, fx))
+    """Max of |fx[j] - fx[i]| / |xs[j] - xs[i]| over all pairs, for ascending xs.
 
-
-def warmup():
-    """Trigger JIT compilation of the active kernels on tiny inputs."""
-    codes = np.zeros(1, dtype=np.int64)
-    vals = np.array([0.5])
-    zeros = np.zeros(1)
-    syms = np.zeros(2, dtype=np.int64)
-    orbit_chain(codes, vals, zeros, zeros, syms, 1.0)
-    orbit_chain_diag(np.array([[0.5, 0.5]]), syms, np.array([1.0, 1.0]))
-    fd_eval(np.array([0.5, 2.0]), 0.5, 0.4, 1.0, BRIDGE_LINEAR, 64)
-    pairwise_quotient_max(np.array([0.0, 1.0]), np.array([0.0, 0.5]))
+    On an ascending grid every chord slope is a convex combination of the
+    adjacent slopes it spans, so the adjacent quotients give the same
+    maximum. Pairs with xs[j] == xs[i] count as 0.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.abs(np.diff(fx) / np.diff(xs))
+    q[~np.isfinite(q)] = 0.0
+    return float(q.max(initial=0.0))

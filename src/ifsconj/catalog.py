@@ -174,9 +174,11 @@ def derivative_at(f: ScalarMap, x: float) -> float:
 
 
 def estimate_lipschitz(f: ScalarMap, interval: tuple[float, float], samples: int) -> float:
-    """Max difference quotient |f(x)-f(y)|/|x-y| over all sampled pairs.
+    """Max difference quotient |f(x)-f(y)|/|x-y| over the sampled grid.
 
-    A lower bound on the true Lipschitz constant over the interval.
+    Taken over adjacent samples, which on this ascending grid gives the same
+    maximum as all pairs. A lower bound on the true Lipschitz constant over
+    the interval.
     """
     lo, hi = interval
     if samples < 2:

@@ -130,7 +130,12 @@ def _linear_slope(mp, name: str) -> float:
 # subcommand handlers; each returns (resolved_config, report, csv, exit_code)
 # ---------------------------------------------------------------------------
 
-def _conjugacy_inputs(args):
+def _build_and_verify(args):
+    """Parse an {f, g} document, build h and verify it on the grid.
+
+    Returns (resolved_config, h, verification, csv, exit_code); the
+    conjugacy and verify handlers differ only in the report they make.
+    """
     doc = _load_doc(args)
     config.check_keys(
         doc,
@@ -154,13 +159,17 @@ def _conjugacy_inputs(args):
         "grid": args.grid,
         "tolerance": args.tolerance,
     }
-    return f, g, bridge, anchor, radius, resolved
+    h = build_linear_conjugacy(_linear_slope(f, "f"), _linear_slope(g, "g"), anchor, bridge)
+    rep = verify_conjugacy(f, g, h, args.grid, args.tolerance, radius)
+    csv_table = (
+        ["x", "h_x", "residual"],
+        list(zip(rep.grid, rep.h_values, rep.residuals)),
+    )
+    return resolved, h, rep, csv_table, 0 if rep.passed else 2
 
 
 def _run_conjugacy(args):
-    f, g, bridge, anchor, radius, resolved = _conjugacy_inputs(args)
-    h = build_linear_conjugacy(_linear_slope(f, "f"), _linear_slope(g, "g"), anchor, bridge)
-    rep = verify_conjugacy(f, g, h, args.grid, args.tolerance, radius)
+    resolved, h, rep, csv_table, code = _build_and_verify(args)
     report = {
         "k": h.k,
         "m": h.m,
@@ -171,17 +180,11 @@ def _run_conjugacy(args):
         "residual_sup": rep.residual_sup,
         "verdict": rep.verdict,
     }
-    csv_table = (
-        ["x", "h_x", "residual"],
-        list(zip(rep.grid, rep.h_values, rep.residuals)),
-    )
-    return resolved, report, csv_table, 0 if rep.passed else 2
+    return resolved, report, csv_table, code
 
 
 def _run_verify(args):
-    f, g, bridge, anchor, radius, resolved = _conjugacy_inputs(args)
-    h = build_linear_conjugacy(_linear_slope(f, "f"), _linear_slope(g, "g"), anchor, bridge)
-    rep = verify_conjugacy(f, g, h, args.grid, args.tolerance, radius)
+    resolved, _, rep, csv_table, code = _build_and_verify(args)
     report = {
         "residual_sup": rep.residual_sup,
         "tolerance": rep.tolerance,
@@ -189,11 +192,7 @@ def _run_verify(args):
         "worst_point": rep.worst_point,
         "grid_size": len(rep.grid),
     }
-    csv_table = (
-        ["x", "h_x", "residual"],
-        list(zip(rep.grid, rep.h_values, rep.residuals)),
-    )
-    return resolved, report, csv_table, 0 if rep.passed else 2
+    return resolved, report, csv_table, code
 
 
 def _scalar_ifs_doc(args, extra_required=None, extra_optional=None, need_sequence=True):
@@ -549,26 +548,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure_threads():
-    raw = os.environ.get("IFS_CONJ_THREADS")
-    if not raw:
-        return
-    try:
-        want = max(1, int(raw))
-    except ValueError:
-        return
-    try:
-        import numba
-
-        numba.set_num_threads(min(want, numba.config.NUMBA_NUM_THREADS))
-    except Exception:
-        pass
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _configure_threads()
     try:
         resolved, report, csv_table, code = HANDLERS[args.command](args)
         _emit(args, args.command, resolved, report, csv_table)

@@ -198,23 +198,3 @@ def domain_radius(doc: dict, default: float = DEFAULT_RADIUS) -> float:
     if "domain" in doc:
         return parse_domain(doc["domain"])
     return default
-
-
-def parse_system(doc: dict, allow_affine: bool = False):
-    """Parse a {"maps", "sequence", "domain"} document.
-
-    Returns (maps, sequence_or_None, working_radius); the sequence alphabet
-    is sized to the map family.
-    """
-    check_keys(
-        doc,
-        "document",
-        {"maps": list},
-        {"sequence": dict, "domain": dict, "label": str},
-    )
-    maps = parse_maps(doc["maps"], allow_affine=allow_affine)
-    sequence = None
-    if "sequence" in doc:
-        alphabet = tuple(range(1, len(maps) + 1))
-        sequence = parse_sequence(doc["sequence"], alphabet=alphabet)
-    return maps, sequence, domain_radius(doc)

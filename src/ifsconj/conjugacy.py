@@ -157,14 +157,23 @@ class FundamentalDomainConjugacy(Homeomorphism1D):
         return kc, mc
 
     def _eval(self, xs: np.ndarray, max_steps: int | None = None) -> np.ndarray:
+        """h(xs), with h(±inf) = ±inf (negated for k < 0) and h(nan) = nan."""
         kc, mc = self.core_slopes
-        cap = max_steps if max_steps is not None else _default_cap(xs, kc, self.anchor)
-        out = _kernels.fd_eval(xs, kc, mc, self.anchor, _BRIDGE_CODES[self.bridge], cap)
-        if np.isnan(out).any() and not np.isnan(xs).any():
-            bad = float(xs[np.isnan(out)][0])
+        finite = np.isfinite(xs)
+        vals = xs[finite]
+        cap = max_steps if max_steps is not None else _default_cap(vals, kc, self.anchor)
+        with np.errstate(over="ignore"):
+            hv = _kernels.fd_eval(vals, kc, mc, self.anchor, _BRIDGE_CODES[self.bridge], cap)
+        if np.isnan(hv).any():
+            bad = float(vals[np.isnan(hv)][0])
             raise NumericFailureError(
                 f"orbit exponent search for x={bad} exceeded {cap} steps"
             )
+        if not np.isfinite(hv).all():
+            bad = float(vals[~np.isfinite(hv)][0])
+            raise NumericFailureError(f"h({bad}) overflows the float range")
+        out = xs.copy()
+        out[finite] = hv
         if self.k < 0:
             out = -out
         return out
@@ -235,7 +244,10 @@ class TabulatedHomeomorphism(Homeomorphism1D):
         return fn
 
     def _eval(self, xs):
-        return np.asarray(self._pchip(True)(xs), dtype=float)
+        # pchip can round past an end node; inside the table, clip to the image
+        out = np.asarray(self._pchip(True)(xs), dtype=float)
+        inside = (xs >= self.xs[0]) & (xs <= self.xs[-1])
+        return np.where(inside, np.clip(out, self.ys[0], self.ys[-1]), out)
 
     def _inv(self, ys):
         if np.any(ys < self.ys[0]) or np.any(ys > self.ys[-1]):

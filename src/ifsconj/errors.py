@@ -40,7 +40,7 @@ class UnsupportedMapError(IfsConjError):
 
 
 class NumericFailureError(IfsConjError):
-    """An iteration cap was exhausted before the computation settled."""
+    """An iteration cap was exhausted, or a finite input gave a non-finite value."""
 
 
 class InversionRangeError(IfsConjError):

@@ -51,9 +51,6 @@ class IfsDescriptor:
     def is_linear(self) -> bool:
         return all(m.is_linear for m in self.maps)
 
-    def slopes_at_zero(self) -> np.ndarray:
-        return np.array([m.slope_at_zero for m in self.maps])
-
     def kernel_table(self):
         rows = [m.kernel_row() for m in self.maps]
         codes = np.array([r[0] for r in rows], dtype=np.int64)

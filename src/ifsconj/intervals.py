@@ -13,8 +13,6 @@ EXPAND_POS = "(1,+inf)"
 EXPAND_NEG = "(-inf,-1)"
 BOUNDARY = "boundary"
 
-ALL_TAGS = (CONTRACT_POS, CONTRACT_NEG, EXPAND_POS, EXPAND_NEG)
-
 
 def classify_slope_interval(s: float) -> str:
     """Open interval containing s, or "boundary" when |s| is exactly 0 or 1."""
@@ -28,11 +26,3 @@ def classify_slope_interval(s: float) -> str:
     if s > 0:
         return CONTRACT_POS if a < 1.0 else EXPAND_POS
     return CONTRACT_NEG if a < 1.0 else EXPAND_NEG
-
-
-def is_contracting_tag(tag: str) -> bool:
-    return tag in (CONTRACT_POS, CONTRACT_NEG)
-
-
-def tag_sign(tag: str) -> int:
-    return 1 if tag in (CONTRACT_POS, EXPAND_POS) else -1

@@ -127,17 +127,3 @@ def test_load_json_reports_position(tmp_path):
 def test_numbers_reject_booleans():
     with pytest.raises(SchemaError):
         config.parse_map({"kind": "linear", "k": True})
-
-
-def test_parse_system_document():
-    doc = {
-        "maps": [{"kind": "linear", "k": 0.5}, {"kind": "linear", "k": 0.25}],
-        "sequence": {"type": "periodic", "pattern": [1, 2]},
-        "domain": {"R": 5.0},
-    }
-    maps, sigma, radius = config.parse_system(doc)
-    assert len(maps) == 2
-    assert isinstance(sigma, PeriodicSequence)
-    assert radius == 5.0
-    with pytest.raises(SchemaError):
-        config.parse_system({"maps": [{"kind": "linear", "k": 0.5}], "n": 3})

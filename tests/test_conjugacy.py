@@ -2,6 +2,7 @@
 functional equation, inversion, feasibility verdicts."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,40 @@ def test_iteration_cap_raises():
     h = build_linear_conjugacy(0.5, 0.25, 1.0, "linear")
     with pytest.raises(NumericFailureError):
         h.evaluate(1e9, max_steps=3)
+
+
+def test_iteration_cap_raises_with_nan_in_batch():
+    h = build_linear_conjugacy(0.5, 0.25, 1.0, "linear")
+    with pytest.raises(NumericFailureError):
+        h.evaluate(np.array([math.nan, 1e9]), max_steps=3)
+
+
+# -- non-finite and huge inputs ---------------------------------------------
+
+@pytest.mark.parametrize("k, m", [(0.5, 0.25), (-0.5, -0.25), (2.0, 4.0)])
+def test_infinite_inputs_map_to_infinity(k, m):
+    h = build_linear_conjugacy(k, m)
+    sign = -1.0 if k < 0 else 1.0
+    assert h(math.inf) == sign * math.inf
+    assert h(-math.inf) == -sign * math.inf
+    assert h.invert(math.inf) == sign * math.inf
+
+
+def test_nan_maps_to_nan():
+    h = build_linear_conjugacy(0.5, 0.25)
+    assert math.isnan(h(math.nan)) and math.isnan(h.invert(math.nan))
+    out = h(np.array([math.nan, 2.0, -math.inf]))
+    assert math.isnan(out[0]) and out[1] == h(2.0) and out[2] == -math.inf
+
+
+def test_overflow_raises_typed_error_without_warning():
+    h = build_linear_conjugacy(0.5, 0.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericFailureError):
+            h(1e308)
+        with pytest.raises(NumericFailureError):
+            h(np.array([1.0, -1e308]))
 
 
 # -- inversion ---------------------------------------------------------------

@@ -1,72 +1,88 @@
-"""Numba and numpy kernel paths must agree."""
+"""Kernel behaviours: the step cap, the reference exponent search, divergent
+orbits, the Lipschitz maximum."""
+
+import math
 
 import numpy as np
 import pytest
 
 from ifsconj import _kernels as K
-
-pytestmark = pytest.mark.skipif(
-    "numba" not in K.IMPLS, reason="numba unavailable; fallback path only"
-)
+from ifsconj.catalog import linear, linear_plus_lipschitz, rational_bump, sine_bump, smooth
+from ifsconj.conjugacy import locate_fundamental_exponent
 
 
-def impls(name):
-    return K.IMPLS["numpy"][name], K.IMPLS["numba"][name]
+def all_pairs_quotient_max(xs, fx):
+    """Brute-force reference: max |fx[j] - fx[i]| / |xs[j] - xs[i]| over i < j."""
+    best = 0.0
+    for i in range(xs.size - 1):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = np.abs((fx[i + 1:] - fx[i]) / (xs[i + 1:] - xs[i]))
+        q[~np.isfinite(q)] = 0.0
+        best = max(best, float(q.max()))
+    return best
 
 
-def test_orbit_chain_paths_identical():
-    np_fn, nb_fn = impls("orbit_chain")
-    codes = np.array([0, 1, 2, 3], dtype=np.int64)
-    ks = np.array([0.5, 0.4, 0.6, 0.3])
-    cs = np.array([0.0, 0.1, -0.2, 0.15])
-    bs = np.array([0.1, 0.0, 0.0, 0.0])
-    syms = np.random.default_rng(1).integers(0, 4, 200).astype(np.int64)
-    a = np_fn(codes, ks, cs, bs, syms, 2.5)
-    b = nb_fn(codes, ks, cs, bs, syms, 2.5)
-    assert np.array_equal(a, b)
-
-
-def test_orbit_chain_diag_paths_identical():
-    np_fn, nb_fn = impls("orbit_chain_diag")
-    diags = np.array([[0.5, 0.3], [0.25, 0.6]])
-    syms = np.random.default_rng(2).integers(0, 2, 100).astype(np.int64)
-    x0 = np.array([3.0, -4.0])
-    assert np.array_equal(np_fn(diags, syms, x0.copy()), nb_fn(diags, syms, x0.copy()))
+CATALOG = [
+    linear(0.5),
+    linear(-3.0),
+    smooth(0.5, 0.1),
+    smooth(2.0, 0.3),
+    linear_plus_lipschitz(0.4, sine_bump(0.2)),
+    linear_plus_lipschitz(-0.6, rational_bump(0.1)),
+]
 
 
 @pytest.mark.parametrize("bridge", [K.BRIDGE_LINEAR, K.BRIDGE_POWER])
-def test_fd_eval_paths_agree(bridge):
-    np_fn, nb_fn = impls("fd_eval")
-    xs = np.concatenate(
-        [np.linspace(-15, 15, 301), [0.0, 1e-7, -1e-7, 0.41, 1.0, -1.0]]
-    )
-    a = np_fn(xs, 0.41, 0.73, 1.0, bridge, 10_000)
-    b = nb_fn(xs, 0.41, 0.73, 1.0, bridge, 10_000)
-    assert np.allclose(a, b, rtol=1e-13, atol=0)
+def test_fd_eval_nan_past_cap(bridge):
+    xs = np.array([1e9, 0.7, 0.0])
+    out = K.fd_eval(xs, 0.5, 0.25, 1.0, bridge, 3)
+    assert np.isnan(out[0])
+    assert np.isfinite(out[1]) and out[2] == 0.0
 
 
-def test_fd_eval_cap_marks_nan_on_both_paths():
-    np_fn, nb_fn = impls("fd_eval")
-    xs = np.array([1e9])
-    a = np_fn(xs, 0.5, 0.25, 1.0, K.BRIDGE_LINEAR, 3)
-    b = nb_fn(xs, 0.5, 0.25, 1.0, K.BRIDGE_LINEAR, 3)
-    assert np.isnan(a[0]) and np.isnan(b[0])
+@pytest.mark.parametrize("bridge", [K.BRIDGE_LINEAR, K.BRIDGE_POWER])
+def test_fd_eval_matches_reference_search(bridge):
+    kc, mc, a = 0.41, 0.73, 1.3
+    rng = np.random.default_rng(5)
+    spread = rng.choice([-1.0, 1.0], 300) * 10.0 ** rng.uniform(-200, 200, 300)
+    xs = np.concatenate([rng.uniform(-15, 15, 300), spread, [a, kc * a, -a, 0.0]])
+    out = K.fd_eval(xs, kc, mc, a, bridge, 10_000)
+    lo = kc * a
+    for x, got in zip(xs, out):
+        if x == 0.0:
+            assert got == 0.0
+            continue
+        n, w = locate_fundamental_exponent(abs(x), kc, a)
+        if bridge == K.BRIDGE_POWER:
+            y = a * (w / a) ** (math.log(mc) / math.log(kc))
+        else:
+            y = mc * a + (w - lo) * ((a - mc * a) / (a - lo))
+        assert got == pytest.approx(math.copysign(y * mc**-n, x), rel=1e-13)
 
 
-def test_pairwise_quotient_paths_agree():
-    np_fn, nb_fn = impls("pairwise_quotient_max")
-    xs = np.linspace(-2, 2, 64)
-    fx = 0.5 * xs + 0.2 * np.sin(xs)
-    assert np_fn(xs, fx) == pytest.approx(nb_fn(xs, fx), rel=1e-14)
+def test_orbit_chain_holds_value_after_divergence():
+    codes = np.array([K.MAP_SINE], dtype=np.int64)  # sine bump with expanding slope
+    ks, cs, bs = np.array([3.0]), np.array([0.5]), np.array([0.0])
+    out = K.orbit_chain(codes, ks, cs, bs, np.zeros(800, dtype=np.int64), 5.0)
+    first = int(np.argmin(np.isfinite(out)))
+    assert first > 0 and not np.isfinite(out[first])
+    assert np.all(out[first:] == out[first])
 
 
-def test_orbit_chain_handles_divergence():
-    np_fn, nb_fn = impls("orbit_chain")
-    codes = np.array([1], dtype=np.int64)  # sine bump with expanding slope
-    ks = np.array([3.0])
-    cs = np.array([0.5])
-    bs = np.array([0.0])
-    syms = np.zeros(800, dtype=np.int64)
-    a = np_fn(codes, ks, cs, bs, syms, 5.0)
-    b = nb_fn(codes, ks, cs, bs, syms, 5.0)
-    assert np.array_equal(np.isfinite(a), np.isfinite(b))
+@pytest.mark.parametrize("n", [2, 17, 256, 2048])
+@pytest.mark.parametrize("f", CATALOG, ids=lambda f: f"{f.kind}-{f.k}")
+def test_pairwise_quotient_max_equals_all_pairs(f, n):
+    xs = np.linspace(-2.0, 2.0, n)
+    fx = np.asarray(f(xs), dtype=float)
+    assert K.pairwise_quotient_max(xs, fx) == all_pairs_quotient_max(xs, fx)
+
+
+def test_pairwise_quotient_max_repeated_point_scores_zero():
+    f = smooth(0.5, 0.1)
+    xs = np.linspace(-1.0, 1.0, 9)
+    dup = np.sort(np.append(xs, xs[3]))
+    fdup = np.asarray(f(dup), dtype=float)
+    got = K.pairwise_quotient_max(dup, fdup)
+    assert got == all_pairs_quotient_max(dup, fdup)
+    assert got == K.pairwise_quotient_max(xs, np.asarray(f(xs), dtype=float))
+    assert K.pairwise_quotient_max(np.array([1.0, 1.0]), np.array([2.0, 2.0])) == 0.0

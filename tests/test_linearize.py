@@ -137,6 +137,15 @@ def test_koenigs_expansive_covers_neighborhood(f):
     assert np.max(np.abs(h.invert(h(xs)) - xs)) <= 1e-12
 
 
+# pchip can round h past the table's end values; invert must still accept them
+@pytest.mark.parametrize("c", [0.0, 0.05, 0.1])
+@pytest.mark.parametrize("lam", [0.5, -0.5, 0.3, 0.7, -0.8])
+def test_koenigs_contractive_round_trip(lam, c):
+    h = koenigs_conjugacy(smooth(lam, c), 0.5)
+    xs = np.linspace(-0.5, 0.5, 2001)
+    assert np.max(np.abs(h.invert(h(xs)) - xs)) <= 5e-12
+
+
 @settings(derandomize=True, deadline=None, max_examples=25)
 @given(
     magnitude=st.one_of(st.floats(0.2, 0.8), st.floats(1.5, 4.0)),
