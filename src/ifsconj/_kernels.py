@@ -33,47 +33,58 @@ BRIDGE_POWER = 1
 # orbit chain: x_{t+1} = f_{sym_t}(x_t), full trajectory returned
 # ---------------------------------------------------------------------------
 
+def pack_rows(rows):
+    """Split a list of (code, k, c, b) rows into the codes, ks, cs, bs arrays."""
+    codes = np.array([r[0] for r in rows], dtype=np.int64)
+    ks = np.array([r[1] for r in rows])
+    cs = np.array([r[2] for r in rows])
+    bs = np.array([r[3] for r in rows])
+    return codes, ks, cs, bs
+
+
 def orbit_chain(codes, ks, cs, bs, symbols, x0):
     """Trajectory of x0 under the maps picked by symbols.
 
     Once the orbit is non-finite, the rest of the trajectory holds that
     non-finite value.
     """
-    n = symbols.shape[0]
-    out = np.empty(n, dtype=np.float64)
+    out = np.empty(symbols.shape[0], dtype=np.float64)
+    maps = [(int(code), float(k), float(c), float(b))
+            for code, k, c, b in zip(codes, ks, cs, bs)]
+    isfinite, sin = math.isfinite, math.sin
     x = float(x0)
-    ks = [float(v) for v in ks]
-    cs = [float(v) for v in cs]
-    bs = [float(v) for v in bs]
-    for t in range(n):
-        if not math.isfinite(x):
-            out[t:] = x
-            break
-        s = symbols[t]
-        code = codes[s]
-        k = ks[s]
-        c = cs[s]
-        b = bs[s]
-        if code == MAP_LINEAR:
-            x = k * x + b
-        elif code == MAP_SINE:
-            x = k * x + c * math.sin(x)
-        elif code == MAP_RATIONAL:
-            x = k * x + c * x / (1.0 + x * x)
-        else:
-            x = k * x + c * x * x / (1.0 + x * x)
-        out[t] = x
+    # a memoryview stores a Python float into out faster than ndarray indexing
+    with memoryview(out) as buf:
+        for t, s in enumerate(symbols.tolist()):
+            if not isfinite(x):
+                out[t:] = x
+                break
+            code, k, c, b = maps[s]
+            if code == MAP_LINEAR:
+                x = k * x + b
+            elif code == MAP_SINE:
+                x = k * x + c * sin(x)
+            elif code == MAP_RATIONAL:
+                x = k * x + c * x / (1.0 + x * x)
+            else:
+                x = k * x + c * x * x / (1.0 + x * x)
+            buf[t] = x
     return out
 
 
 def orbit_chain_diag(diags, symbols, x0):
-    """Trajectory in R^m of x0 under the diagonal maps picked by symbols."""
-    n = symbols.shape[0]
-    out = np.empty((n, x0.shape[0]), dtype=np.float64)
-    x = np.array(x0, dtype=np.float64)
-    for t in range(n):
-        x = diags[symbols[t]] * x
-        out[t] = x
+    """Trajectory in R^m of x0 under the diagonal maps picked by symbols.
+
+    Row t is the running product ((x0*d_1)*d_2)...*d_t of the picked
+    diagonals, with x0 folded into the first row. IEEE multiplication is
+    commutative, so every entry is rounded exactly as in the step x_t =
+    d_t * x_{t-1}, including at +-0, subnormals, +-inf and a nan start
+    (only the payload of a product of two nans can depend on the order).
+    """
+    out = np.asarray(diags, dtype=np.float64)[symbols]
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        out[:1] *= x0
+        np.multiply.accumulate(out, axis=0, out=out)
     return out
 
 
@@ -120,9 +131,9 @@ def fd_eval(x, kc, mc, a, bridge_code, cap):
     lo = kc * a
     w = v.copy()
     e = np.zeros(v.shape, dtype=np.int64)
-    nonzero = v > 0.0
+    zero = v == 0.0
     stuck_high = _walk(w, e, np.flatnonzero(w > a), kc, a, cap, inward=True)
-    stuck_low = _walk(w, e, np.flatnonzero(nonzero & (w < lo)), kc, a, cap, inward=False)
+    stuck_low = _walk(w, e, np.flatnonzero(~zero & (w < lo)), kc, a, cap, inward=False)
 
     if bridge_code == BRIDGE_POWER:
         alpha = math.log(mc) / math.log(kc)
@@ -131,7 +142,7 @@ def fd_eval(x, kc, mc, a, bridge_code, cap):
     else:
         y = mc * a + (w - lo) * ((a - mc * a) / (a - lo))
     out = np.sign(x).ravel() * y * np.power(mc, e.astype(np.float64))
-    out[~nonzero] = 0.0
+    out[zero] = 0.0
     out[stuck_high] = np.nan
     out[stuck_low] = np.nan
     return out.reshape(x.shape)

@@ -99,10 +99,6 @@ def chaos_game(
         scalar_ok = all(isinstance(m, (AffineMap, ScalarMap)) for m in family)
         if not scalar_ok:
             raise ValueError("maps must be all scalar or all diagonal")
-        rows = [m.kernel_row() for m in family]
-        codes = np.array([r[0] for r in rows], dtype=np.int64)
-        ks = np.array([r[1] for r in rows])
-        cs = np.array([r[2] for r in rows])
-        bs = np.array([r[3] for r in rows])
+        codes, ks, cs, bs = _kernels.pack_rows([m.kernel_row() for m in family])
         traj = _kernels.orbit_chain(codes, ks, cs, bs, symbols, float(x0))
     return AttractorSample(traj[burn_in:], burn_in, iterations, seed, x0)

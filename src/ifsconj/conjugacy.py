@@ -157,7 +157,11 @@ class FundamentalDomainConjugacy(Homeomorphism1D):
         return kc, mc
 
     def _eval(self, xs: np.ndarray, max_steps: int | None = None) -> np.ndarray:
-        """h(xs), with h(±inf) = ±inf (negated for k < 0) and h(nan) = nan."""
+        """h(xs), with h(±inf) = ±inf (negated for k < 0) and h(nan) = nan.
+
+        A finite x whose h(x) overflows raises NumericFailureError; a nonzero
+        x whose h(x) underflows gets the smallest subnormal of its sign.
+        """
         kc, mc = self.core_slopes
         finite = np.isfinite(xs)
         vals = xs[finite]
@@ -172,6 +176,9 @@ class FundamentalDomainConjugacy(Homeomorphism1D):
         if not np.isfinite(hv).all():
             bad = float(vals[~np.isfinite(hv)][0])
             raise NumericFailureError(f"h({bad}) overflows the float range")
+        # h(x) = 0 only at x = 0: a value below the float range keeps its sign
+        underflow = (hv == 0.0) & (vals != 0.0)
+        hv[underflow] = np.copysign(math.ulp(0.0), vals[underflow])
         out = xs.copy()
         out[finite] = hv
         if self.k < 0:

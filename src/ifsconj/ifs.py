@@ -52,12 +52,7 @@ class IfsDescriptor:
         return all(m.is_linear for m in self.maps)
 
     def kernel_table(self):
-        rows = [m.kernel_row() for m in self.maps]
-        codes = np.array([r[0] for r in rows], dtype=np.int64)
-        ks = np.array([r[1] for r in rows])
-        cs = np.array([r[2] for r in rows])
-        bs = np.array([r[3] for r in rows])
-        return codes, ks, cs, bs
+        return _kernels.pack_rows([m.kernel_row() for m in self.maps])
 
 
 def _symbols_for(ifs: IfsDescriptor, sigma: SymbolSequence, n: int) -> np.ndarray:

@@ -1,11 +1,13 @@
 """CLI subcommands: exit codes, report envelopes, CSV output, determinism."""
 
+import hashlib
 import json
 import os
 import stat
 
 import pytest
 
+from ifsconj import __version__
 from ifsconj.cli import main
 
 
@@ -332,3 +334,69 @@ def test_probe_csv_unsupported(tmp_path, capsys):
     code = main(["probe", "--input", inp, "--format", "csv", "--trials", "1"])
     assert code == 1
     assert "CSV" in capsys.readouterr().err
+
+
+# -- reports pinned across commits ------------------------------------------
+
+ATTRACTOR_DOC = {
+    "maps": [
+        {"kind": "linear+lipschitz", "k": 0.4,
+         "perturbation": {"shape": "sine", "amplitude": 0.2, "lipschitz": 0.2}},
+        {"kind": "linear+lipschitz", "k": -0.3,
+         "perturbation": {"shape": "rational", "amplitude": 0.1, "lipschitz": 0.1}},
+        {"kind": "smooth", "name": "rational-quadratic", "k": 0.5, "c": 0.1},
+        {"kind": "affine", "k": 0.3333333333333333, "b": 0.6666666666666666},
+    ],
+    "allow_affine": True,
+    "iterations": 3000,
+    "burn_in": 100,
+    "x0": 0.5,
+    "seed": 7,
+}
+ORBIT_DOC = {
+    "maps": [
+        {"kind": "linear+lipschitz", "k": 0.6,
+         "perturbation": {"shape": "sine", "amplitude": 0.3, "lipschitz": 0.3}},
+        {"kind": "smooth", "name": "rational-quadratic", "k": -0.5, "c": 0.1},
+    ],
+    "sequence": {"type": "bernoulli", "p": 0.3, "seed": 4},
+    "x0": 1.5,
+    "n": 500,
+}
+CLASSIFY_DOC = {
+    "maps": [{"kind": "linear", "k": 0.5}, {"kind": "linear", "k": 2.0}],
+    "sequence": {"type": "sparse-density", "special_index": 2, "rule": "perfect-squares"},
+    "x0": 1.0,
+    "epsilon": 0.1,
+}
+
+# sha256 of each report, recorded before the orbit kernels were rewritten;
+# the version field is blanked so that a version bump alone changes nothing
+PINNED_REPORTS = {
+    ("attractor", "json"): "fa62c5b0db35231a5e53b59376412b991dee388ff1a3367915157cfb1dca34a0",
+    ("attractor", "csv"): "49832eb0e222617b8ee149143f83c6e54ccc6759c16e337ece4573e15b6c7627",
+    ("orbit", "json"): "aae6b25ea263e4e24ae88ea5ff6b8077332dc956bee021669cce21b2a049821f",
+    ("orbit", "csv"): "1cdd073da0028db4aae237d2740ece401668e5fbde072ca95d1199d6a3352091",
+    ("classify", "json"): "fa52e144686c74e1e0b1dbac6a3bab9c00a591ed65743f3bb541b5a1dfe7c6b9",
+    ("classify", "csv"): "e8f94fe781f0991c82382264a556d74ee5c8a3327cc3cb9002a3d1ae551be429",
+}
+PINNED_INPUTS = {
+    "attractor": (ATTRACTOR_DOC, []),
+    "orbit": (ORBIT_DOC, []),
+    "classify": (CLASSIFY_DOC, ["--n-max", "400"]),
+}
+
+
+def report_digest(tmp_path, command, fmt):
+    doc, extra = PINNED_INPUTS[command]
+    inp = write(tmp_path, f"{command}.json", doc)
+    out = str(tmp_path / f"{command}-report.{fmt}")
+    assert main([command, "--input", inp, "--output", out, "--format", fmt, *extra]) == 0
+    text = open(out, "rb").read()
+    text = text.replace(f'"version": "{__version__}"'.encode(), b'"version": ""')
+    return hashlib.sha256(text).hexdigest()
+
+
+@pytest.mark.parametrize("command, fmt", list(PINNED_REPORTS), ids="-".join)
+def test_report_bytes_pinned(tmp_path, command, fmt):
+    assert report_digest(tmp_path, command, fmt) == PINNED_REPORTS[command, fmt]

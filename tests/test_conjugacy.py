@@ -225,6 +225,40 @@ def test_overflow_raises_typed_error_without_warning():
             h(np.array([1.0, -1e308]))
 
 
+TINY = math.ulp(0.0)
+
+
+@pytest.mark.parametrize("k, m", [(0.5, 0.25), (-0.5, -0.25)])
+def test_underflow_keeps_sign(k, m):
+    h = build_linear_conjugacy(k, m)
+    sign = -1.0 if k < 0 else 1.0
+    assert h(5e-324) == sign * TINY
+    assert h(-1e-300) == -sign * TINY
+    assert h(0.0) == 0.0
+
+
+def test_underflow_in_batch_keeps_strict_order():
+    h = build_linear_conjugacy(0.5, 0.25)
+    xs = np.array([-2.0, -1e-300, 0.0, 1e-300, 0.3, 1.7])
+    out = h(xs)
+    assert np.all(np.diff(out) > 0)
+    assert out[1] == -TINY and out[2] == 0.0 and out[3] == TINY
+    assert [out[0], out[4], out[5]] == [h(-2.0), h(0.3), h(1.7)]
+
+
+def test_invert_underflow_keeps_sign():
+    h = build_linear_conjugacy(0.25, 0.5)
+    assert h.invert(5e-324) == TINY
+    assert h.invert(-1e-300) == -TINY
+
+
+def test_subnormal_value_is_returned():
+    h = build_linear_conjugacy(0.5, 0.25)
+    y = h(1e-160)
+    assert TINY < y < np.finfo(float).tiny
+    assert h(np.array([1e-160, 1.0]))[0] == y
+
+
 # -- inversion ---------------------------------------------------------------
 
 def test_invert_examples():
