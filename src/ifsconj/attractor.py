@@ -88,7 +88,7 @@ def chaos_game(
             raise HypothesisError(f"map {i + 1} is not contractive on the interval")
 
     rng = np.random.default_rng(seed)
-    symbols = rng.integers(0, len(family), size=iterations).astype(np.int64)
+    symbols = rng.integers(0, len(family), size=iterations)
 
     diagonal = all(isinstance(m, DiagonalMap) for m in family)
     if diagonal:

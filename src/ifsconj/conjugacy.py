@@ -94,15 +94,56 @@ def locate_fundamental_exponent(x: float, k: float, a: float, cap: int = 10_000)
     return n, w
 
 
-def _default_cap(vals: np.ndarray, kc: float, a: float) -> int:
+def _log_reach(vals: np.ndarray, a: float) -> float | None:
+    """Largest |log|x| - log(a)| over the nonzero vals, None when all are 0."""
     nz = np.abs(vals[vals != 0])
     if nz.size == 0:
+        return None
+    return max(math.log(nz.max()) - math.log(a), math.log(a) - math.log(nz.min()), 0.0)
+
+
+def _default_cap(log_reach: float | None, kc: float) -> int:
+    if log_reach is None:
         return 64
-    log_reach = max(
-        math.log(nz.max()) - math.log(a), math.log(a) - math.log(nz.min()), 0.0
-    )
     steps = log_reach / math.log(1.0 / kc)
     return min(10 * math.ceil(steps + 1.0) + 64, 1_000_000)
+
+
+_TINY = np.finfo(np.float64).tiny  # smallest normal float
+
+
+def _sure_overrun(
+    vals: np.ndarray, kc: float, a: float, cap: int, log_reach: float | None
+) -> float | None:
+    """The first x of vals whose orbit walk must pass cap steps, or None.
+
+    One walk step moves log|w| by log(1/kc), give or take one rounding of
+    the step and of log(1/kc) itself, so an x at log-distance L from the
+    anchor needs at least (L - 1e-11) / (log(1/kc) * (1 + 1e-15) + 1e-15) - 1
+    steps. The bound holds for normal floats only. x is returned only when
+    every entry before it is sure to settle, so it is the x the walk would
+    report; None leaves the decision to the walk.
+    """
+    if log_reach is None or cap < 0:
+        return None
+    ell = math.log(1.0 / kc)
+    fast = ell * (1 + 1e-15) + 1e-15
+    slow = ell * (1 - 1e-15) - 1e-15
+    reach = (cap + 2) * fast + 1e-11  # log-distance past which the walk overruns
+    if log_reach <= reach or kc * a < _TINY:
+        return None
+    w = np.abs(vals)
+    with np.errstate(divide="ignore"):
+        dist = np.abs(np.log(w) - math.log(a))
+    normal = w >= _TINY
+    overrun = normal & (dist > reach)
+    if not overrun.any():
+        return None
+    first = int(np.argmax(overrun))
+    settles = w[:first] == 0
+    if slow > 0.0:  # each step makes progress, so near entries are sure to settle
+        settles |= normal[:first] & ((dist[:first] + 1e-11) / slow + 2 <= cap + 1)
+    return float(vals[first]) if settles.all() else None
 
 
 @dataclass(frozen=True)
@@ -165,11 +206,15 @@ class FundamentalDomainConjugacy(Homeomorphism1D):
         kc, mc = self.core_slopes
         finite = np.isfinite(xs)
         vals = xs[finite]
-        cap = max_steps if max_steps is not None else _default_cap(vals, kc, self.anchor)
-        with np.errstate(over="ignore"):
-            hv = _kernels.fd_eval(vals, kc, mc, self.anchor, _BRIDGE_CODES[self.bridge], cap)
-        if np.isnan(hv).any():
-            bad = float(vals[np.isnan(hv)][0])
+        log_reach = _log_reach(vals, self.anchor)
+        cap = max_steps if max_steps is not None else _default_cap(log_reach, kc)
+        bad = _sure_overrun(vals, kc, self.anchor, cap, log_reach)
+        if bad is None:
+            with np.errstate(over="ignore"):
+                hv = _kernels.fd_eval(vals, kc, mc, self.anchor, _BRIDGE_CODES[self.bridge], cap)
+            if np.isnan(hv).any():
+                bad = float(vals[np.isnan(hv)][0])
+        if bad is not None:
             raise NumericFailureError(
                 f"orbit exponent search for x={bad} exceeded {cap} steps"
             )

@@ -5,7 +5,8 @@ All suprema are taken over the working interval [-R, R]. Inverse values
 needed by the C0 distance are found by bisection; the bracket expands past
 the working interval when the target lies beyond the map's image of it, so
 the inverse gap matches the global inverse of the (strictly monotone)
-catalog maps.
+catalog maps. Each call computes the grid data of every map it compares
+once (values, inverse, derivative) and reduces pairs from those profiles.
 """
 
 from __future__ import annotations
@@ -48,26 +49,45 @@ def _check_monotone(f: ScalarMap, radius: float):
         )
 
 
-def _inverse_gap(f, g, ys: np.ndarray, radius: float):
-    xf, vf = monotone_inverse_batch(f, ys, -radius, radius)
-    xg, vg = monotone_inverse_batch(g, ys, -radius, radius)
-    ok = vf & vg
-    gap = float(np.max(np.abs(xf[ok] - xg[ok]))) if ok.any() else 0.0
-    return gap, int((~ok).sum())
+@dataclass(frozen=True)
+class _MapProfile:
+    """One map's data on the grid: f(xs), the inverse at xs and f'(xs)."""
+
+    values: np.ndarray
+    inverse: np.ndarray
+    valid: np.ndarray
+    derivative: np.ndarray
+
+
+def _profiles(maps, grid_size: int, radius: float) -> list[_MapProfile]:
+    """Profiles of maps on the grid; every map is checked before any is evaluated."""
+    for f in maps:
+        _check_monotone(f, radius)
+    xs = np.linspace(-radius, radius, grid_size)
+    out = []
+    for f in maps:
+        values = np.asarray(f(xs))
+        inverse, valid = monotone_inverse_batch(f, xs, -radius, radius)
+        out.append(_MapProfile(values, inverse, valid, np.asarray(f.derivative(xs))))
+    return out
+
+
+def _reduce(pf: _MapProfile, pg: _MapProfile) -> tuple[float, float, int]:
+    """(rho0, rho1, excluded inverse points) of one pair of profiles."""
+    value_gap = float(np.max(np.abs(pf.values - pg.values)))
+    ok = pf.valid & pg.valid
+    inv_gap = float(np.max(np.abs(pf.inverse[ok] - pg.inverse[ok]))) if ok.any() else 0.0
+    r0 = max(value_gap, inv_gap)
+    deriv_gap = float(np.max(np.abs(pf.derivative - pg.derivative)))
+    return r0, r0 + deriv_gap, int((~ok).sum())
 
 
 def compare_maps(
     f: ScalarMap, g: ScalarMap, grid_size: int = 1001, radius: float = DEFAULT_RADIUS
 ) -> MetricReport:
     """Both distance levels in one pass, with the excluded-point count."""
-    _check_monotone(f, radius)
-    _check_monotone(g, radius)
-    xs = np.linspace(-radius, radius, grid_size)
-    value_gap = float(np.max(np.abs(np.asarray(f(xs)) - np.asarray(g(xs)))))
-    inv_gap, excluded = _inverse_gap(f, g, xs, radius)
-    r0 = max(value_gap, inv_gap)
-    deriv_gap = float(np.max(np.abs(np.asarray(f.derivative(xs)) - np.asarray(g.derivative(xs)))))
-    return MetricReport(r0, r0 + deriv_gap, grid_size, (-radius, radius), excluded)
+    r0, r1, excluded = _reduce(*_profiles((f, g), grid_size, radius))
+    return MetricReport(r0, r1, grid_size, (-radius, radius), excluded)
 
 
 def rho0(f: ScalarMap, g: ScalarMap, grid_size: int = 1001, radius: float = DEFAULT_RADIUS) -> float:
@@ -107,16 +127,19 @@ def ifs_distance(
         raise ValueError("level must be 0 or 1")
     if tuple(F.maps) == tuple(G.maps):
         return IfsDistanceReport(0.0, 0.0 if level == 1 else None, None, True)
+    profiles = _profiles((*F.maps, *G.maps), grid_size, radius)
+    n = len(F.maps)
+    pfs, pgs = profiles[:n], profiles[n:]
     d0 = -1.0
     d1 = -1.0
     best = -1.0
     best_pair = None
-    for i, f in enumerate(F.maps):
-        for j, g in enumerate(G.maps):
-            rep = compare_maps(f, g, grid_size, radius)
-            d0 = max(d0, rep.rho0)
-            d1 = max(d1, rep.rho1)
-            val = rep.rho1 if level == 1 else rep.rho0
+    for i, pf in enumerate(pfs):
+        for j, pg in enumerate(pgs):
+            r0, r1, _ = _reduce(pf, pg)
+            d0 = max(d0, r0)
+            d1 = max(d1, r1)
+            val = r1 if level == 1 else r0
             if val > best:
                 best = val
                 best_pair = (i + 1, j + 1)
@@ -227,8 +250,12 @@ class ProbeReport:
         return 1.0 if self.trials == 0 else self.passes / self.trials
 
 
+# grid of the probe's admissibility distance (paired_rho1_max's default)
+_PROBE_GRID = 257
+
+
 def paired_rho1_max(
-    F: IfsDescriptor, G: IfsDescriptor, grid_size: int = 257, radius: float = DEFAULT_RADIUS
+    F: IfsDescriptor, G: IfsDescriptor, grid_size: int = _PROBE_GRID, radius: float = DEFAULT_RADIUS
 ) -> float:
     """Index-paired C1 distance max_i rho1(f_i, g_i).
 
@@ -238,9 +265,14 @@ def paired_rho1_max(
     """
     if len(F.maps) != len(G.maps):
         raise ValueError("families must have equal map counts")
-    return max(
-        compare_maps(f, g, grid_size, radius).rho1 for f, g in zip(F.maps, G.maps)
-    )
+    profiles = _profiles((*F.maps, *G.maps), grid_size, radius)
+    n = len(F.maps)
+    return _paired_rho1(profiles[:n], profiles[n:])
+
+
+def _paired_rho1(pfs, pgs) -> float:
+    """max_i rho1(f_i, g_i) from the profiles of the two families."""
+    return max(_reduce(pf, pg)[1] for pf, pg in zip(pfs, pgs))
 
 
 def _jitter_map(f: ScalarMap, scale: float, rng) -> ScalarMap:
@@ -281,6 +313,14 @@ def perturbation_probe(
     kmin = min(abs(m.k) for m in F.maps)
     scale = delta / (4.0 * (radius + radius / (kmin * kmin) + 2.0))
     budget = 100 * trials
+    exhausted = GenerationError(
+        f"no admissible perturbation within delta={delta:g} after {budget} attempts"
+    )
+    try:
+        f_profiles = _profiles(F.maps, _PROBE_GRID, radius)
+    except IfsConjError:
+        # no candidate can be compared with F, so every attempt would fail
+        raise exhausted from None
     attempts = 0
     passes = 0
     f_lin = linear_part(F).linear_ifs
@@ -289,14 +329,12 @@ def perturbation_probe(
         G = None
         while G is None:
             if attempts >= budget:
-                raise GenerationError(
-                    f"no admissible perturbation within delta={delta:g} "
-                    f"after {budget} attempts"
-                )
+                raise exhausted
             attempts += 1
             cand = IfsDescriptor(tuple(_jitter_map(m, scale, rng) for m in F.maps))
             try:
-                if paired_rho1_max(F, cand, radius=radius) < delta:
+                g_profiles = _profiles(cand.maps, _PROBE_GRID, radius)
+                if _paired_rho1(f_profiles, g_profiles) < delta:
                     G = cand
             except IfsConjError:
                 continue

@@ -328,12 +328,34 @@ def test_json_reports_byte_identical(tmp_path):
     assert open(out1, "rb").read() == open(out2, "rb").read()
 
 
+# 0.3x + 0.5 sin(x) fixes only 0, where its slope is 0.8, but decreases near pi
+NON_MONOTONE_MAP = {"kind": "linear+lipschitz", "k": 0.3,
+                    "perturbation": {"shape": "sine", "amplitude": 0.5, "lipschitz": 0.5}}
+
+
 def test_probe_csv_unsupported(tmp_path, capsys):
     doc = {"maps": [{"kind": "linear", "k": 0.5}]}
     inp = write(tmp_path, "p.json", doc)
     code = main(["probe", "--input", inp, "--format", "csv", "--trials", "1"])
     assert code == 1
     assert "CSV" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, doc, extra, message", [
+    ("distance",
+     {"maps": [{"kind": "linear", "k": 0.5}],
+      "g_maps": [{"kind": "linear", "k": 0.4}, NON_MONOTONE_MAP]},
+     [], "map is not strictly monotone on the working interval"),
+    ("probe",
+     {"maps": [{"kind": "linear", "k": 0.5}, NON_MONOTONE_MAP]},
+     ["--trials", "3"], "no admissible perturbation within delta=0.01 after 300 attempts"),
+])
+def test_non_monotone_map_exits_1(tmp_path, capsys, command, doc, extra, message):
+    inp = write(tmp_path, "in.json", doc)
+    assert main([command, "--input", inp, *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"ifsconj {command}: {message}\n"
+    assert captured.out == ""
 
 
 # -- reports pinned across commits ------------------------------------------
@@ -369,9 +391,33 @@ CLASSIFY_DOC = {
     "x0": 1.0,
     "epsilon": 0.1,
 }
+DISTANCE_DOC = {
+    "maps": [
+        {"kind": "linear+lipschitz", "k": 0.5,
+         "perturbation": {"shape": "sine", "amplitude": 0.1, "lipschitz": 0.1}},
+        {"kind": "smooth", "name": "rational-quadratic", "k": 0.4, "c": 0.06},
+    ],
+    "g_maps": [
+        {"kind": "linear", "k": 0.45},
+        {"kind": "linear+lipschitz", "k": -0.5,
+         "perturbation": {"shape": "rational", "amplitude": 0.05, "lipschitz": 0.05}},
+        {"kind": "smooth", "name": "rational-quadratic", "k": 0.55, "c": 0.05},
+    ],
+}
+# the bump pushes the first map's slope to 0 near x = pi, so some jittered
+# candidates are not monotone and the probe draws more often than it has trials
+PROBE_DOC = {
+    "maps": [
+        {"kind": "linear+lipschitz", "k": 0.3,
+         "perturbation": {"shape": "sine", "amplitude": 0.3, "lipschitz": 0.3}},
+        {"kind": "linear", "k": 0.5},
+    ],
+}
 
-# sha256 of each report, recorded before the orbit kernels were rewritten;
-# the version field is blanked so that a version bump alone changes nothing
+# sha256 of each report: attractor, orbit and classify recorded before the
+# orbit kernels were rewritten, distance and probe before the stability
+# distances shared per-map grid data; the version field is blanked so that a
+# version bump alone changes nothing
 PINNED_REPORTS = {
     ("attractor", "json"): "fa62c5b0db35231a5e53b59376412b991dee388ff1a3367915157cfb1dca34a0",
     ("attractor", "csv"): "49832eb0e222617b8ee149143f83c6e54ccc6759c16e337ece4573e15b6c7627",
@@ -379,24 +425,33 @@ PINNED_REPORTS = {
     ("orbit", "csv"): "1cdd073da0028db4aae237d2740ece401668e5fbde072ca95d1199d6a3352091",
     ("classify", "json"): "fa52e144686c74e1e0b1dbac6a3bab9c00a591ed65743f3bb541b5a1dfe7c6b9",
     ("classify", "csv"): "e8f94fe781f0991c82382264a556d74ee5c8a3327cc3cb9002a3d1ae551be429",
+    ("distance-level0", "json"): "eea933702793d7ec8e39800cdec65781383acd88fc72e7a03ed6bb1c0e0f71b7",
+    ("distance-level0", "csv"): "3f75d5d19a64095a3041d2b4a194701449c4d8caa7b0bcbb473aacf2ddb3304e",
+    ("distance-level1", "json"): "b78eb09b98d1d1949bba8531f788345ba0f4b1d863436ee2cbeda0ed3f3ead72",
+    ("distance-level1", "csv"): "3f75d5d19a64095a3041d2b4a194701449c4d8caa7b0bcbb473aacf2ddb3304e",
+    ("probe", "json"): "0afc72d768ee1973c4ab7cc6a0aaea3781582835e61399623ae20764257b6f54",
 }
+# case -> (subcommand, document, extra arguments)
 PINNED_INPUTS = {
-    "attractor": (ATTRACTOR_DOC, []),
-    "orbit": (ORBIT_DOC, []),
-    "classify": (CLASSIFY_DOC, ["--n-max", "400"]),
+    "attractor": ("attractor", ATTRACTOR_DOC, []),
+    "orbit": ("orbit", ORBIT_DOC, []),
+    "classify": ("classify", CLASSIFY_DOC, ["--n-max", "400"]),
+    "distance-level0": ("distance", DISTANCE_DOC, ["--level", "0"]),
+    "distance-level1": ("distance", DISTANCE_DOC, ["--level", "1"]),
+    "probe": ("probe", PROBE_DOC, ["--delta", "0.01", "--trials", "10", "--seed", "4"]),
 }
 
 
-def report_digest(tmp_path, command, fmt):
-    doc, extra = PINNED_INPUTS[command]
-    inp = write(tmp_path, f"{command}.json", doc)
-    out = str(tmp_path / f"{command}-report.{fmt}")
+def report_digest(tmp_path, case, fmt):
+    command, doc, extra = PINNED_INPUTS[case]
+    inp = write(tmp_path, f"{case}.json", doc)
+    out = str(tmp_path / f"{case}-report.{fmt}")
     assert main([command, "--input", inp, "--output", out, "--format", fmt, *extra]) == 0
     text = open(out, "rb").read()
     text = text.replace(f'"version": "{__version__}"'.encode(), b'"version": ""')
     return hashlib.sha256(text).hexdigest()
 
 
-@pytest.mark.parametrize("command, fmt", list(PINNED_REPORTS), ids="-".join)
-def test_report_bytes_pinned(tmp_path, command, fmt):
-    assert report_digest(tmp_path, command, fmt) == PINNED_REPORTS[command, fmt]
+@pytest.mark.parametrize("case, fmt", list(PINNED_REPORTS), ids="-".join)
+def test_report_bytes_pinned(tmp_path, case, fmt):
+    assert report_digest(tmp_path, case, fmt) == PINNED_REPORTS[case, fmt]

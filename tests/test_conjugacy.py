@@ -2,6 +2,7 @@
 functional equation, inversion, feasibility verdicts."""
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -195,6 +196,51 @@ def test_iteration_cap_raises_with_nan_in_batch():
     h = build_linear_conjugacy(0.5, 0.25, 1.0, "linear")
     with pytest.raises(NumericFailureError):
         h.evaluate(np.array([math.nan, 1e9]), max_steps=3)
+
+
+@pytest.mark.parametrize("k, x, name", [
+    (0.999999, 1e300, r"1e\+300"),
+    # log(1/k) is one rounding here: the estimate still bounds the steps
+    (1.0 - 2.0**-53, 2.0, r"2\.0"),
+])
+def test_near_one_slope_overrun_raises_before_walking(k, x, name):
+    # the orbit of 1e300 needs about 6.9e8 steps of 0.999999 against a cap of
+    # 1e6; the log estimate says so before any step is taken
+    h = build_linear_conjugacy(k, 0.5)
+    t0 = time.perf_counter()
+    with pytest.raises(NumericFailureError, match=f"x={name} exceeded 1000000 steps"):
+        h(x)
+    assert time.perf_counter() - t0 < 0.1
+
+
+@pytest.mark.parametrize("xs, cap, first", [
+    ([0.0, 1.0, -1e250, 1e300], None, r"x=-1e\+250 exceeded 1000000 steps"),
+    # 5e-324 / 0.999999 rounds back to 5e-324: the walk, not the estimate,
+    # finds that this subnormal never settles, and it comes first
+    ([5e-324, 1e300], 1000, r"x=5e-324 exceeded 1000 steps"),
+])
+def test_overrun_names_the_first_entry_the_walk_would_report(xs, cap, first):
+    h = build_linear_conjugacy(0.999999, 0.5)
+    with pytest.raises(NumericFailureError, match=first):
+        h.evaluate(np.array(xs), max_steps=cap)
+
+
+# (k, m, x, cap, h(x) as hex): the orbit of x takes cap + 1 steps, the most a
+# walk with that cap allows; values recorded before the fail-fast was added
+JUST_INSIDE_CAP = [
+    (0.5, 0.25, 1.5 * 2.0**30, 30, "0x1.4000000000000p+61"),
+    (0.999, 0.998, 1e3, 6904, "0x1.ebabca9c28fd2p+19"),
+    (0.999, 0.998, 1e-3, 6903, "0x1.0a95b8a686424p-20"),
+    (-0.999, -0.998, 1e3, 6904, "-0x1.ebabca9c28fd2p+19"),
+]
+
+
+@pytest.mark.parametrize("k, m, x, cap, expected", JUST_INSIDE_CAP)
+def test_explicit_cap_just_inside_keeps_value(k, m, x, cap, expected):
+    h = build_linear_conjugacy(k, m)
+    assert h.evaluate(x, max_steps=cap).hex() == expected
+    with pytest.raises(NumericFailureError, match=f"exceeded {cap - 1} steps"):
+        h.evaluate(x, max_steps=cap - 1)
 
 
 # -- non-finite and huge inputs ---------------------------------------------

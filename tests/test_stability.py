@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import ifsconj.stability as stab
 from ifsconj import (
     IfsDescriptor,
     compare_maps,
@@ -16,12 +17,15 @@ from ifsconj import (
     rho0,
     rho1,
     sine_bump,
+    smooth,
 )
 from ifsconj.errors import (
     ContinuumOfFixedPointsError,
     GenerationError,
     HypothesisError,
+    InvertibilityError,
 )
+from ifsconj.rootfind import monotone_inverse_batch
 
 
 def test_rho_zero_on_identical_maps():
@@ -170,12 +174,18 @@ def test_probe_near_boundary_reports_without_asserting():
 
 
 def test_probe_generation_budget(monkeypatch):
-    import ifsconj.stability as stab
+    calls = []
 
-    monkeypatch.setattr(stab, "paired_rho1_max", lambda *a, **k: float("inf"))
+    def never_admissible(*args, **kwargs):
+        calls.append(1)
+        assert len(calls) <= 200, "probe drew past its budget of 100 attempts per trial"
+        return float("inf")
+
+    monkeypatch.setattr(stab, "_paired_rho1", never_admissible)
     F = IfsDescriptor((linear(0.5), linear(0.25)))
-    with pytest.raises(GenerationError):
+    with pytest.raises(GenerationError, match="after 200 attempts"):
         perturbation_probe(F, 0.01, 2, seed=3)
+    assert len(calls) == 200
 
 
 def test_probe_paired_distance_is_small():
@@ -184,3 +194,133 @@ def test_probe_paired_distance_is_small():
     assert paired_rho1_max(F, G) < 0.05
     # cross-pair distance stays large: it includes rho1(0.5x, 0.25x)
     assert ifs_distance(F, G, 1, grid_size=257).d1 > 1.0
+
+
+# -- per-map profiles against the former per-pair computation ----------------
+
+def compare_maps_reference(f, g, grid_size, radius):
+    """(rho0, rho1, excluded) as compare_maps computed it before per-map
+    profiles: both maps evaluated and inverted inside the pair's own call."""
+    xs = np.linspace(-radius, radius, grid_size)
+    value_gap = float(np.max(np.abs(np.asarray(f(xs)) - np.asarray(g(xs)))))
+    xf, vf = monotone_inverse_batch(f, xs, -radius, radius)
+    xg, vg = monotone_inverse_batch(g, xs, -radius, radius)
+    ok = vf & vg
+    inv_gap = float(np.max(np.abs(xf[ok] - xg[ok]))) if ok.any() else 0.0
+    r0 = max(value_gap, inv_gap)
+    deriv_gap = float(np.max(np.abs(np.asarray(f.derivative(xs)) - np.asarray(g.derivative(xs)))))
+    return r0, r0 + deriv_gap, int((~ok).sum())
+
+
+def ifs_distance_reference(F, G, level, grid_size, radius):
+    """(d0, d1, argmax_pair) from the former loop over the cross pairs."""
+    d0 = d1 = best = -1.0
+    best_pair = None
+    for i, f in enumerate(F.maps):
+        for j, g in enumerate(G.maps):
+            r0, r1, _ = compare_maps_reference(f, g, grid_size, radius)
+            d0 = max(d0, r0)
+            d1 = max(d1, r1)
+            val = r1 if level == 1 else r0
+            if val > best:
+                best = val
+                best_pair = (i + 1, j + 1)
+    return d0, d1 if level == 1 else None, best_pair
+
+
+def bits(x):
+    return None if x is None else float(x).hex()
+
+
+SINE = linear_plus_lipschitz(0.45, sine_bump(0.1))
+RATIONAL_NEG = linear_plus_lipschitz(-0.5, rational_bump(0.05))
+SMOOTH = smooth(0.55, 0.06)
+SMOOTH_NEG = smooth(-0.4, 0.05)
+# 10 / 1e-20 lies past 60 bracket doublings: most inverse points are excluded
+FLAT = linear(1e-20)
+
+FAMILY_PAIRS = {
+    "1x1": ((SINE,), (SMOOTH,)),
+    "2x3": ((linear(0.5), SINE), (RATIONAL_NEG, SMOOTH, SMOOTH_NEG)),
+    "3x3": ((SINE, SMOOTH, SMOOTH_NEG), (linear(0.5), RATIONAL_NEG, linear(0.6))),
+    "3x3-expansive": (
+        (linear(2.0), smooth(1.5, 0.1), linear_plus_lipschitz(3.0, sine_bump(0.5))),
+        (linear(2.5), linear_plus_lipschitz(-2.0, rational_bump(0.3)), smooth(1.8, 0.2)),
+    ),
+    "2x2-excluded": ((FLAT, linear(0.5)), (SINE, SMOOTH)),
+    "2x2-excluded-in-g": ((SINE, SMOOTH), (linear(0.5), FLAT)),
+}
+
+
+def test_excluded_case_has_excluded_points():
+    assert compare_maps(FLAT, SINE, 257).inverse_points_excluded > 0
+    assert compare_maps(SINE, FLAT, 257).inverse_points_excluded > 0
+
+
+@pytest.mark.parametrize("grid_size", [257, 1001])
+@pytest.mark.parametrize("name", list(FAMILY_PAIRS))
+def test_compare_maps_matches_reference(name, grid_size):
+    for f in FAMILY_PAIRS[name][0]:
+        for g in FAMILY_PAIRS[name][1]:
+            rep = compare_maps(f, g, grid_size)
+            r0, r1, excluded = compare_maps_reference(f, g, grid_size, 10.0)
+            assert (bits(rep.rho0), bits(rep.rho1)) == (bits(r0), bits(r1))
+            assert rep.inverse_points_excluded == excluded
+
+
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("name", list(FAMILY_PAIRS))
+def test_ifs_distance_matches_pair_loop(name, level):
+    F, G = (IfsDescriptor(maps) for maps in FAMILY_PAIRS[name])
+    for grid_size, radius in ((1001, 10.0), (257, 3.0)):
+        rep = ifs_distance(F, G, level, grid_size, radius)
+        d0, d1, pair = ifs_distance_reference(F, G, level, grid_size, radius)
+        assert (bits(rep.d0), bits(rep.d1), rep.argmax_pair) == (bits(d0), bits(d1), pair)
+        assert not rep.identical
+
+
+@pytest.mark.parametrize(
+    "name", ["1x1", "3x3", "3x3-expansive", "2x2-excluded", "2x2-excluded-in-g"]
+)
+def test_paired_rho1_max_matches_index_pairs(name):
+    F, G = (IfsDescriptor(maps) for maps in FAMILY_PAIRS[name])
+    expected = max(compare_maps_reference(f, g, 257, 10.0)[1] for f, g in zip(F.maps, G.maps))
+    assert bits(paired_rho1_max(F, G)) == bits(expected)
+
+
+def test_non_monotone_map_raises_before_any_pair():
+    bad = linear_plus_lipschitz(0.3, sine_bump(0.5))
+    F = IfsDescriptor((linear(0.5),))
+    G = IfsDescriptor((linear(0.4), bad))
+    with pytest.raises(InvertibilityError, match="not strictly monotone"):
+        ifs_distance(F, G)
+    with pytest.raises(InvertibilityError):
+        paired_rho1_max(G, IfsDescriptor((linear(0.4), linear(0.3))))
+
+
+def test_probe_with_non_monotone_map_exhausts_budget():
+    # hyperbolic at its only fixed point 0, but f' < 0 near pi: no candidate
+    # can be compared with F, so every attempt of the budget fails
+    F = IfsDescriptor((linear(0.5), linear_plus_lipschitz(0.3, sine_bump(0.5))))
+    with pytest.raises(GenerationError, match="delta=0.01 after 300 attempts"):
+        perturbation_probe(F, 0.01, 3, seed=1)
+
+
+# (maps, delta, trials, seed) -> (passes, attempts), recorded before the probe
+# reused F's profiles across attempts
+PROBE_PINS = [
+    ((linear(0.5), linear(0.25)), 0.01, 20, 42, (20, 20)),
+    # f' = 0.3 + 0.3 cos x touches 0 near pi: non-monotone candidates are redrawn
+    ((linear_plus_lipschitz(0.3, sine_bump(0.3)), linear(0.5)), 0.01, 10, 4, (10, 12)),
+    # slopes next to the boundary |k| = 1: some candidates cross it and fail
+    ((linear(0.998),), 0.5, 8, 11, (6, 8)),
+    ((linear(1.002), linear(2.0)), 0.5, 8, 3, (3, 8)),
+    ((SMOOTH, SINE), 0.01, 10, 7, (10, 10)),
+    ((linear(-0.5), linear_plus_lipschitz(0.4, rational_bump(0.05))), 0.01, 6, 5, (0, 6)),
+]
+
+
+@pytest.mark.parametrize("maps, delta, trials, seed, expected", PROBE_PINS)
+def test_probe_counts_pinned(maps, delta, trials, seed, expected):
+    rep = perturbation_probe(IfsDescriptor(maps), delta, trials, seed)
+    assert (rep.passes, rep.attempts) == expected
