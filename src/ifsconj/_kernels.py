@@ -94,9 +94,64 @@ def orbit_chain_diag(diags, symbols, x0):
 # Contractive core: 0 < kc, mc < 1, anchor a > 0. Values are pushed into the
 # fundamental interval [kc*a, a] by repeated multiplication/division by kc
 # (ties resolved toward the smaller exponent by the closed-interval compares),
-# fed through the bridge, and rescaled by the matching power of mc. Odd
-# extension handles negative arguments. Returns NaN where the step cap is hit.
+# fed through the bridge, and rescaled by the matching power of mc, read from
+# a table of mc**j over the exponent range. Odd extension handles negative
+# arguments. Returns NaN where the step cap is hit.
+#
+# Deep orbits take blind steps. For w > 0 and 0 < kc < 1, fl(w*kc) <= w and
+# fl(w/kc) >= w, and rounding is monotone, so an inward walk never increases
+# and an outward walk never decreases: an entry still outside [kc*a, a] after
+# n steps was outside after every earlier step, and the compares of those
+# steps can be skipped. Entries still outside after _CHECKED checked steps
+# estimate their remaining step count from log(|w|/a) / log(1/kc) and take
+# all but the last two of those steps unchecked, one in-place multiply or
+# divide per step on the prefix of entries (sorted by estimate) still
+# stepping. One compare then confirms each entry is still outside; the rare
+# entry that already settled (subnormal orbits can round faster than the
+# estimate) restarts from where the checked steps left it. The checked loop
+# takes the last steps and counts each entry's blind steps against its
+# cap + 1. Every entry sees the same roundings as in a loop of checked steps,
+# so the output keeps its bits, and walks at most _CHECKED steps deep run the
+# checked loop alone.
 # ---------------------------------------------------------------------------
+
+# checked steps before the entries still outside step blind; for walks of
+# fewer steps the estimate costs more numpy calls than it saves
+_CHECKED = 8
+
+
+def _blind_steps(ww, kc, a, cap, inward):
+    """Take up to cap unchecked steps of the deep entries of ww, in place.
+
+    Returns each entry's count of blind steps (0 where the estimate leaves
+    none, or where the entry settled within them and was put back to its
+    start), or None when no entry takes one.
+    """
+    lo = kc * a
+    if inward:
+        est = (np.log(ww) - math.log(a)) / -math.log(kc)
+    else:
+        est = (math.log(lo) - np.log(ww)) / -math.log(kc)
+    blind = np.minimum(np.ceil(est) - 2.0, float(cap))
+    deep = np.flatnonzero(blind >= 1.0)
+    if deep.size == 0:
+        return None
+    order = deep[np.argsort(-blind[deep], kind="stable")]
+    steps = blind[order].astype(np.int64)
+    run = ww[order]
+    # before step s, the entries with at least s blind steps are a prefix of run
+    widths = np.searchsorted(-steps, -np.arange(1, steps[0] + 1), side="right")
+    step = np.multiply if inward else np.divide
+    with np.errstate(over="ignore", under="ignore"):  # an overshoot restarts
+        for width in widths.tolist():
+            head = run[:width]
+            step(head, kc, out=head)
+    moved = run > a if inward else run < lo
+    taken = np.zeros(ww.size, dtype=np.int64)
+    ww[order[moved]] = run[moved]
+    taken[order[moved]] = steps[moved]
+    return taken
+
 
 def _walk(w, e, idx, kc, a, cap, inward):
     """Step w[idx] by kc until it lies in [kc*a, a], at most cap + 1 times.
@@ -104,11 +159,28 @@ def _walk(w, e, idx, kc, a, cap, inward):
     Inward steps multiply by kc (entries above a), outward steps divide by kc
     (entries below kc*a). Settled entries are written back to w, their step
     count added to e (negative inward), and dropped from the working set.
-    Returns the indices still outside after the cap.
+    Entries still outside after _CHECKED steps take their blind steps.
+    Returns the indices still outside after the cap; their w and e are left
+    as they were.
     """
     lo = kc * a
     ww = w[idx]
+    left = None  # per index of w: the last loop step the entry may take
+    limit = cap + 1  # the smallest of those over the working set
+    stuck = []
     for n in range(1, cap + 2):
+        if n == _CHECKED + 1 and idx.size:
+            taken = _blind_steps(ww, kc, a, cap + 1 - _CHECKED, inward)
+            if taken is not None:
+                e[idx] += -taken if inward else taken
+                left = np.empty(w.size, dtype=np.int64)
+                left[idx] = cap + 1 - taken
+                limit = cap + 1 - int(taken.max())
+        if n > limit:
+            over = left[idx] < n
+            stuck.append(idx[over])
+            idx, ww = idx[~over], ww[~over]
+            limit = int(left[idx].min(initial=cap + 1))
         if idx.size == 0:
             break
         if inward:
@@ -122,7 +194,11 @@ def _walk(w, e, idx, kc, a, cap, inward):
             w[idx[done]] = ww[done]
             e[idx[done]] += -n if inward else n
             idx, ww = idx[out], ww[out]
-    return idx
+    if left is None:
+        return idx
+    stuck = np.concatenate(stuck + [idx])
+    e[stuck] = 0
+    return stuck
 
 
 def fd_eval(x, kc, mc, a, bridge_code, cap):
@@ -141,7 +217,9 @@ def fd_eval(x, kc, mc, a, bridge_code, cap):
             y = a * (w / a) ** alpha
     else:
         y = mc * a + (w - lo) * ((a - mc * a) / (a - lo))
-    out = np.sign(x).ravel() * y * np.power(mc, e.astype(np.float64))
+    e_min = e.min(initial=0)
+    powers = np.power(mc, np.arange(e_min, e.max(initial=0) + 1, dtype=np.float64))
+    out = np.sign(x).ravel() * y * powers[e - e_min]
     out[zero] = 0.0
     out[stuck_high] = np.nan
     out[stuck_low] = np.nan

@@ -9,6 +9,7 @@ machinery depends on. All maps fix the origin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,6 +105,22 @@ class ScalarMap:
             return self.k + self.perturbation.derivative(x)
         xx = x * x
         return self.k + self.c * 2.0 * x / (1.0 + xx) ** 2
+
+    @property
+    def derivative_extrema(self) -> tuple[float, ...]:
+        """Zeros of f'' nearest 0, where f' takes its extremes.
+
+        The sine bump's f' is 2*pi-periodic with extremes at j*pi, so -pi, 0
+        and pi reach both; the rational bump has them at 0 and +-sqrt(3), the
+        smooth rational-quadratic map at +-1/sqrt(3). Linear maps have none.
+        """
+        if self.kind == KIND_LIPSCHITZ and self.perturbation.shape == SHAPE_SINE:
+            return (-math.pi, 0.0, math.pi)
+        if self.kind == KIND_LIPSCHITZ:
+            return (-math.sqrt(3.0), 0.0, math.sqrt(3.0))
+        if self.kind == KIND_SMOOTH:
+            return (-1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0))
+        return ()
 
     @property
     def slope_at_zero(self) -> float:

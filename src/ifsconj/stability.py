@@ -41,9 +41,14 @@ class MetricReport:
 
 
 def _check_monotone(f: ScalarMap, radius: float):
+    """f' of one sign on a 1024-point grid of [-R, R], and not of the other
+    sign at the extrema of f' there (an isolated zero of f' keeps f strictly
+    monotone)."""
     xs = np.linspace(-radius, radius, 1024)
-    d = np.asarray(f.derivative(xs), dtype=float)
-    if not (np.all(d > 0) or np.all(d < 0)):
+    crit = [x for x in f.derivative_extrema if abs(x) <= radius]
+    d = np.asarray(f.derivative(np.append(xs, crit)), dtype=float)
+    d, dc = d[:xs.size], d[xs.size:]
+    if not ((np.all(d > 0) and np.all(dc >= 0)) or (np.all(d < 0) and np.all(dc <= 0))):
         raise InvertibilityError(
             "map is not strictly monotone on the working interval"
         )
@@ -298,7 +303,9 @@ def perturbation_probe(
     C1 distance drops below delta, then checks interval feasibility and the
     conjugacy residual of the linear parts along a pinned random sequence
     for n in {1, 5, 10}. Trials whose perturbation crosses an interval
-    boundary count as failures, not generation errors.
+    boundary count as failures, not generation errors. F itself must have
+    hyperbolic fixed points and all its maps in one slope interval, else
+    HypothesisError.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -307,6 +314,9 @@ def perturbation_probe(
     audit = hyperbolicity_audit(F, radius)
     if not audit.all_hyperbolic:
         raise HypothesisError("probe requires every fixed point hyperbolic")
+    if not same_interval_test(F, F).conjugable:
+        # the pooled interval test of F and a candidate could never pass
+        raise HypothesisError("probe requires the maps of F in one slope interval")
     if trials == 0:
         return ProbeReport(delta, 0, 0, 0, seed)
 

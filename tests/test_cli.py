@@ -333,6 +333,15 @@ NON_MONOTONE_MAP = {"kind": "linear+lipschitz", "k": 0.3,
                     "perturbation": {"shape": "sine", "amplitude": 0.5, "lipschitz": 0.5}}
 
 
+def test_probe_mixed_intervals_exits_1(tmp_path, capsys):
+    doc = {"maps": [{"kind": "linear", "k": -0.5}, {"kind": "linear", "k": 0.4}]}
+    inp = write(tmp_path, "mixed.json", doc)
+    assert main(["probe", "--input", inp, "--trials", "6", "--seed", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "ifsconj probe: probe requires the maps of F in one slope interval\n"
+    assert captured.out == ""
+
+
 def test_probe_csv_unsupported(tmp_path, capsys):
     doc = {"maps": [{"kind": "linear", "k": 0.5}]}
     inp = write(tmp_path, "p.json", doc)
@@ -416,8 +425,9 @@ PROBE_DOC = {
 
 # sha256 of each report: attractor, orbit and classify recorded before the
 # orbit kernels were rewritten, distance and probe before the stability
-# distances shared per-map grid data; the version field is blanked so that a
-# version bump alone changes nothing
+# distances shared per-map grid data, conjugacy and verify before the
+# fundamental-domain walk took blind steps; the version field is blanked so
+# that a version bump alone changes nothing
 PINNED_REPORTS = {
     ("attractor", "json"): "fa62c5b0db35231a5e53b59376412b991dee388ff1a3367915157cfb1dca34a0",
     ("attractor", "csv"): "49832eb0e222617b8ee149143f83c6e54ccc6759c16e337ece4573e15b6c7627",
@@ -429,7 +439,17 @@ PINNED_REPORTS = {
     ("distance-level0", "csv"): "3f75d5d19a64095a3041d2b4a194701449c4d8caa7b0bcbb473aacf2ddb3304e",
     ("distance-level1", "json"): "b78eb09b98d1d1949bba8531f788345ba0f4b1d863436ee2cbeda0ed3f3ead72",
     ("distance-level1", "csv"): "3f75d5d19a64095a3041d2b4a194701449c4d8caa7b0bcbb473aacf2ddb3304e",
-    ("probe", "json"): "0afc72d768ee1973c4ab7cc6a0aaea3781582835e61399623ae20764257b6f54",
+    # re-pinned when the monotonicity check began to read f' at its extrema:
+    # a candidate with f'(pi) = -3e-7 is now redrawn (attempts 12 -> 13)
+    ("probe", "json"): "89578e53d0749ebee390be34b955c46150ad8ca0bf309b85133c589c3c135016",
+    ("conjugacy", "json"): "9cfbcc2f5a50eb3c78756386fac4306893411967d1fef80cd88873f118d65a80",
+    ("conjugacy", "csv"): "b6718a9705ea9dcf71bfa28d6e9831241b5cd1e9421870b3097d76c17173ebf9",
+    ("verify", "json"): "92fa9635eed46d36d650228f498a9b27a613424b4bb52bc5b21e91cf88795b88",
+    ("verify", "csv"): "b6718a9705ea9dcf71bfa28d6e9831241b5cd1e9421870b3097d76c17173ebf9",
+    ("conjugacy-deep", "json"): "951cf167b7b17c9e4f9d1c40ced5007c74a69b1199f25e41d7791cbbe746a3ac",
+    ("conjugacy-deep", "csv"): "35e09ed6b6a85ab9a8ad34c0e7ef555615a38d40e94005030614bac7867fe1a1",
+    ("verify-deep", "json"): "8828ab34a485581a215518eec7200f9fd51827663f6709fd23a390dc6ed57ce3",
+    ("verify-deep", "csv"): "35e09ed6b6a85ab9a8ad34c0e7ef555615a38d40e94005030614bac7867fe1a1",
 }
 # case -> (subcommand, document, extra arguments)
 PINNED_INPUTS = {
@@ -439,6 +459,11 @@ PINNED_INPUTS = {
     "distance-level0": ("distance", DISTANCE_DOC, ["--level", "0"]),
     "distance-level1": ("distance", DISTANCE_DOC, ["--level", "1"]),
     "probe": ("probe", PROBE_DOC, ["--delta", "0.01", "--trials", "10", "--seed", "4"]),
+    "conjugacy": ("conjugacy", CONJ_DOC, []),
+    "verify": ("verify", CONJ_DOC, []),
+    # orbits of up to 1e100 walk about 160 steps into the fundamental domain
+    "conjugacy-deep": ("conjugacy", CONJ_DOC, ["--radius", "1e100", "--grid", "2001"]),
+    "verify-deep": ("verify", CONJ_DOC, ["--radius", "1e100", "--grid", "2001"]),
 }
 
 

@@ -1,5 +1,7 @@
 """Map distances, cross-pair family distance, hyperbolicity audit, probe."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -311,12 +313,13 @@ def test_probe_with_non_monotone_map_exhausts_budget():
 PROBE_PINS = [
     ((linear(0.5), linear(0.25)), 0.01, 20, 42, (20, 20)),
     # f' = 0.3 + 0.3 cos x touches 0 near pi: non-monotone candidates are redrawn
-    ((linear_plus_lipschitz(0.3, sine_bump(0.3)), linear(0.5)), 0.01, 10, 4, (10, 12)),
+    # (10, 13) since the check reads f' at pi: a candidate with f'(pi) = -3e-7
+    # passed the grid at (10, 12)
+    ((linear_plus_lipschitz(0.3, sine_bump(0.3)), linear(0.5)), 0.01, 10, 4, (10, 13)),
     # slopes next to the boundary |k| = 1: some candidates cross it and fail
     ((linear(0.998),), 0.5, 8, 11, (6, 8)),
     ((linear(1.002), linear(2.0)), 0.5, 8, 3, (3, 8)),
     ((SMOOTH, SINE), 0.01, 10, 7, (10, 10)),
-    ((linear(-0.5), linear_plus_lipschitz(0.4, rational_bump(0.05))), 0.01, 6, 5, (0, 6)),
 ]
 
 
@@ -324,3 +327,44 @@ PROBE_PINS = [
 def test_probe_counts_pinned(maps, delta, trials, seed, expected):
     rep = perturbation_probe(IfsDescriptor(maps), delta, trials, seed)
     assert (rep.passes, rep.attempts) == expected
+
+
+def test_probe_requires_one_slope_interval():
+    # the pooled interval test of F and any candidate fails, so the probe
+    # refuses instead of reporting 0 passes
+    for maps in [(linear(-0.5), linear(0.4)),
+                 (linear(-0.5), linear_plus_lipschitz(0.4, rational_bump(0.05)))]:
+        with pytest.raises(HypothesisError, match="one slope interval"):
+            perturbation_probe(IfsDescriptor(maps), 0.01, 6, 5)
+
+
+def _dips_below_zero(f, x):
+    assert f.derivative(x) < 0 < f.derivative(np.linspace(-10.0, 10.0, 1024)).min()
+    return f
+
+
+# f' < 0 only near an extremum of f' that the 1024-point grid misses; the
+# bumps outweigh the slope 0.3 there by a relative 1e-7 (the sine one by 3e-6)
+_OVER = 0.3 * (1 + 1e-7)
+DIPPING_MAPS = {
+    "sine-pi": linear_plus_lipschitz(0.3, sine_bump(0.300001)),
+    "rational-0": linear_plus_lipschitz(0.3, rational_bump(-_OVER)),
+    "rational-sqrt3": linear_plus_lipschitz(0.3, rational_bump(8 * _OVER)),
+    "smooth-rq": smooth(0.3, _OVER * 8 * math.sqrt(3.0) / 9.0),
+}
+DIP_AT = {"sine-pi": math.pi, "rational-0": 0.0, "rational-sqrt3": math.sqrt(3.0),
+          "smooth-rq": -1.0 / math.sqrt(3.0)}
+
+
+@pytest.mark.parametrize("name", list(DIPPING_MAPS))
+def test_monotone_check_reads_derivative_extrema(name):
+    f = _dips_below_zero(DIPPING_MAPS[name], DIP_AT[name])
+    with pytest.raises(InvertibilityError, match="not strictly monotone"):
+        compare_maps(f, linear(0.5))
+
+
+def test_monotone_check_allows_isolated_zero_slope():
+    # f' = 0.3 + 0.3 cos x is 0 only at odd multiples of pi: still increasing
+    f = linear_plus_lipschitz(0.3, sine_bump(0.3))
+    assert f.derivative(math.pi) == 0.0
+    compare_maps(f, linear(0.5))
