@@ -120,28 +120,35 @@ def _sure_overrun(
     One walk step moves log|w| by log(1/kc), give or take one rounding of
     the step and of log(1/kc) itself, so an x at log-distance L from the
     anchor needs at least (L - 1e-11) / (log(1/kc) * (1 + 1e-15) + 1e-15) - 1
-    steps. The bound holds for normal floats only. x is returned only when
-    every entry before it is sure to settle, so it is the x the walk would
-    report; None leaves the decision to the walk.
+    steps. The bound holds for normal floats only. A subnormal x below kc*a
+    whose step x/kc rounds back to x never moves, so its walk overruns any
+    cap. x is returned only when every entry before it is sure to settle, so
+    it is the x the walk would report; None leaves the decision to the walk.
     """
     if log_reach is None or cap < 0:
         return None
+    lo = kc * a
     ell = math.log(1.0 / kc)
     fast = ell * (1 + 1e-15) + 1e-15
     slow = ell * (1 - 1e-15) - 1e-15
     reach = (cap + 2) * fast + 1e-11  # log-distance past which the walk overruns
-    if log_reach <= reach or kc * a < _TINY:
+    far = log_reach > reach and lo >= _TINY
+    # a nonzero |x| below the smallest normal lies at least this far from a
+    tiny = log_reach > math.log(a) - math.log(_TINY) - 1e-9
+    if not (far or tiny):
         return None
     w = np.abs(vals)
-    with np.errstate(divide="ignore"):
-        dist = np.abs(np.log(w) - math.log(a))
     normal = w >= _TINY
-    overrun = normal & (dist > reach)
+    with np.errstate(divide="ignore", over="ignore"):
+        dist = np.abs(np.log(w) - math.log(a))
+        overrun = far & normal & (dist > reach)
+        if tiny:
+            overrun |= (w != 0) & ~normal & (w < lo) & (w / kc == w)
     if not overrun.any():
         return None
     first = int(np.argmax(overrun))
     settles = w[:first] == 0
-    if slow > 0.0:  # each step makes progress, so near entries are sure to settle
+    if slow > 0.0 and lo >= _TINY:  # each step makes progress, so near entries settle
         settles |= normal[:first] & ((dist[:first] + 1e-11) / slow + 2 <= cap + 1)
     return float(vals[first]) if settles.all() else None
 
@@ -264,6 +271,62 @@ def identity() -> PowerLawHomeomorphism:
     return PowerLawHomeomorphism(1.0)
 
 
+def _end_slope(h0, h1, m0, m1):
+    """One-sided three-point derivative at an end node, with pchiptx's shape guards."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_coefficients(x: np.ndarray, y: np.ndarray):
+    """Coefficients (c0, c1, c2, c3) of each piece of the pchip through (x, y).
+
+    Follows scipy 1.17's PchipInterpolator operation for operation, so every
+    value keeps scipy's bits. An interior derivative is the weighted harmonic
+    mean of the adjacent secants, or 0 where they differ in sign or one is 0
+    (Fritsch & Butland 1984); the ends take the one-sided three-point formula
+    with Moler's shape guards (pchiptx); a 2-node table is the secant line.
+    Raises ValueError where a derivative is not finite, as scipy does.
+    """
+    with np.errstate(all="ignore"):
+        h = np.diff(x)
+        m = np.diff(y) / h
+        if x.size == 2:
+            d = np.array([m[0], m[0]])
+        else:
+            w1 = 2 * h[1:] + h[:-1]
+            w2 = h[1:] + 2 * h[:-1]
+            flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+            inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+            first = _end_slope(h[0], h[1], m[0], m[1])
+            last = _end_slope(h[-1], h[-2], m[-1], m[-2])
+            d = np.concatenate(([first], inner, [last]))
+        if not np.isfinite(d).all():
+            raise ValueError("pchip slope of the tabulated nodes overflows the float range")
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        return t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]
+
+
+def _pchip_eval(x: np.ndarray, coeffs, v: np.ndarray) -> np.ndarray:
+    """The pchip at v; the end pieces extrapolate.
+
+    Sums the powers of s = v - x[i] in the order of scipy's PPoly; as there,
+    the leading 0.0 + fixes the sign of a zero sum, and a nan of either sign
+    gives the positive quiet nan.
+    """
+    c0, c1, c2, c3 = coeffs
+    i = np.clip(np.searchsorted(x, v, side="right") - 1, 0, x.size - 2)
+    s = v - x[i]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ss = s * s
+        out = (((0.0 + c3[i]) + c2[i] * s) + c1[i] * ss) + c0[i] * (ss * s)
+    out[np.isnan(v)] = np.nan
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class TabulatedHomeomorphism(Homeomorphism1D):
     """Monotone interpolation through (xs, ys) nodes, pchip between them."""
@@ -279,32 +342,29 @@ class TabulatedHomeomorphism(Homeomorphism1D):
         object.__setattr__(self, "ys", ys)
         if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
             raise ValueError("need matching 1-d node arrays with >= 2 nodes")
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise ValueError("tabulated nodes must be finite")
         if not np.all(np.diff(xs) > 0) or not np.all(np.diff(ys) > 0):
             raise ValueError("tabulated nodes must be strictly increasing")
 
-    def _pchip(self, forward: bool):
+    def _pchip(self, forward: bool, v: np.ndarray) -> np.ndarray:
+        nodes, values = (self.xs, self.ys) if forward else (self.ys, self.xs)
         key = "fwd" if forward else "inv"
-        fn = self._interp.get(key)
-        if fn is None:
-            from scipy.interpolate import PchipInterpolator
-
-            if forward:
-                fn = PchipInterpolator(self.xs, self.ys)
-            else:
-                fn = PchipInterpolator(self.ys, self.xs)
-            self._interp[key] = fn
-        return fn
+        coeffs = self._interp.get(key)
+        if coeffs is None:
+            coeffs = self._interp[key] = _pchip_coefficients(nodes, values)
+        return _pchip_eval(nodes, coeffs, v)
 
     def _eval(self, xs):
         # pchip can round past an end node; inside the table, clip to the image
-        out = np.asarray(self._pchip(True)(xs), dtype=float)
+        out = self._pchip(True, xs)
         inside = (xs >= self.xs[0]) & (xs <= self.xs[-1])
         return np.where(inside, np.clip(out, self.ys[0], self.ys[-1]), out)
 
     def _inv(self, ys):
         if np.any(ys < self.ys[0]) or np.any(ys > self.ys[-1]):
             raise InversionRangeError("value outside the tabulated image")
-        return np.asarray(self._pchip(False)(ys), dtype=float)
+        return self._pchip(False, ys)
 
 
 @dataclass(frozen=True)
@@ -477,7 +537,9 @@ def weak_conjugacy_linear(
     The n-step composites are again linear with the product slopes, so h_n
     is the fundamental-domain conjugacy for that product pair. Pooled slopes
     must share one interval; negative and expansive families route through
-    the negated / inverse-composed constructions automatically.
+    the negated / inverse-composed constructions automatically. A product
+    slope that under- or overflows the float range raises
+    NumericFailureError.
     """
     for name, ifs in (("F", F), ("G", G)):
         for i, m in enumerate(ifs.maps):
@@ -502,4 +564,11 @@ def weak_conjugacy_linear(
             )
     k_star = effective_slope(F, sigma, n)
     m_star = effective_slope(G, sigma, n)
+    # no slope is 0, so a product of 0 or +-inf left the float range
+    for name, s in (("k*", k_star), ("m*", m_star)):
+        if s == 0.0 or not math.isfinite(s):
+            what = "underflows" if s == 0.0 else "overflows"
+            raise NumericFailureError(
+                f"effective slope {name} over {n} steps {what} the float range"
+            )
     return build_linear_conjugacy(k_star, m_star, anchor, bridge)

@@ -98,7 +98,10 @@ def compose_orbit(F: IfsDescriptor, sigma: SymbolSequence, n: int, x: float) -> 
 
 
 def effective_slope(F: IfsDescriptor, sigma: SymbolSequence, n: int) -> float:
-    """Product of the slopes along sigma; equals the composite's linear slope."""
+    """Product of the slopes along sigma; equals the composite's linear slope.
+
+    A product past the float range is +-inf, and one below it is 0.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     for i, m in enumerate(F.maps):
@@ -108,4 +111,5 @@ def effective_slope(F: IfsDescriptor, sigma: SymbolSequence, n: int) -> float:
             )
     syms = _symbols_for(F, sigma, n)
     slopes = np.array([m.k for m in F.maps])
-    return float(np.prod(slopes[syms - 1]))
+    with np.errstate(over="ignore"):
+        return float(np.prod(slopes[syms - 1]))

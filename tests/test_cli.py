@@ -415,6 +415,14 @@ DISTANCE_DOC = {
 }
 # the bump pushes the first map's slope to 0 near x = pi, so some jittered
 # candidates are not monotone and the probe draws more often than it has trials
+# the orbit overflows at step 526, so 475 trajectory cells, the final value and
+# the effective slope are inf
+DIVERGING_DOC = {
+    "maps": [{"kind": "linear", "k": 3.0}, {"kind": "linear", "k": 5.0}],
+    "sequence": {"type": "bernoulli", "p": 0.5, "seed": 4},
+    "x0": 1.0,
+    "n": 1000,
+}
 PROBE_DOC = {
     "maps": [
         {"kind": "linear+lipschitz", "k": 0.3,
@@ -426,7 +434,8 @@ PROBE_DOC = {
 # sha256 of each report: attractor, orbit and classify recorded before the
 # orbit kernels were rewritten, distance and probe before the stability
 # distances shared per-map grid data, conjugacy and verify before the
-# fundamental-domain walk took blind steps; the version field is blanked so
+# fundamental-domain walk took blind steps, orbit-diverging before the slope
+# product stopped warning of its overflow; the version field is blanked so
 # that a version bump alone changes nothing
 PINNED_REPORTS = {
     ("attractor", "json"): "fa62c5b0db35231a5e53b59376412b991dee388ff1a3367915157cfb1dca34a0",
@@ -450,6 +459,8 @@ PINNED_REPORTS = {
     ("conjugacy-deep", "csv"): "35e09ed6b6a85ab9a8ad34c0e7ef555615a38d40e94005030614bac7867fe1a1",
     ("verify-deep", "json"): "8828ab34a485581a215518eec7200f9fd51827663f6709fd23a390dc6ed57ce3",
     ("verify-deep", "csv"): "35e09ed6b6a85ab9a8ad34c0e7ef555615a38d40e94005030614bac7867fe1a1",
+    ("orbit-diverging", "json"): "d309999d672ef3e0327cc0460a18c149a0b050522df42611c770108ec4def387",
+    ("orbit-diverging", "csv"): "1605e6ffd5798c20de665b6535668bda982245dfb8576d7b2e0f9a557cda7899",
 }
 # case -> (subcommand, document, extra arguments)
 PINNED_INPUTS = {
@@ -464,6 +475,7 @@ PINNED_INPUTS = {
     # orbits of up to 1e100 walk about 160 steps into the fundamental domain
     "conjugacy-deep": ("conjugacy", CONJ_DOC, ["--radius", "1e100", "--grid", "2001"]),
     "verify-deep": ("verify", CONJ_DOC, ["--radius", "1e100", "--grid", "2001"]),
+    "orbit-diverging": ("orbit", DIVERGING_DOC, []),
 }
 
 

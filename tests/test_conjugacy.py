@@ -215,14 +215,34 @@ def test_near_one_slope_overrun_raises_before_walking(k, x, name):
 
 @pytest.mark.parametrize("xs, cap, first", [
     ([0.0, 1.0, -1e250, 1e300], None, r"x=-1e\+250 exceeded 1000000 steps"),
-    # 5e-324 / 0.999999 rounds back to 5e-324: the walk, not the estimate,
-    # finds that this subnormal never settles, and it comes first
+    # 5e-324 / 0.999999 rounds back to 5e-324: this subnormal never settles,
+    # and it comes first
     ([5e-324, 1e300], 1000, r"x=5e-324 exceeded 1000 steps"),
+    # 5e-324 never settles, but the walk of the subnormal 1e-315 before it is
+    # not proven to settle, so the walk decides, and 1e-315 fails first
+    ([1.0, 1e-315, 5e-324], 50, r"x=1e-315 exceeded 50 steps"),
 ])
 def test_overrun_names_the_first_entry_the_walk_would_report(xs, cap, first):
     h = build_linear_conjugacy(0.999999, 0.5)
     with pytest.raises(NumericFailureError, match=first):
         h.evaluate(np.array(xs), max_steps=cap)
+
+
+# x / kc rounds back to x, so the outward orbit never moves and no cap is
+# enough; the overrun is reported without walking the cap
+@pytest.mark.parametrize("k, m, x, cap", [
+    (0.9, 0.5, 5e-324, 70734),
+    (0.7, 0.5, 5e-324, 20954),
+    (-0.9, -0.5, -2e-323, 70604),
+    (1.0 / 0.9, 2.0, 5e-324, 70734),
+])
+def test_stuck_subnormal_raises_before_walking(k, m, x, cap):
+    h = build_linear_conjugacy(k, m)
+    t0 = time.perf_counter()
+    with pytest.raises(NumericFailureError) as err:
+        h(x)
+    assert time.perf_counter() - t0 < 0.01
+    assert str(err.value) == f"orbit exponent search for x={x!r} exceeded {cap} steps"
 
 
 # (k, m, x, cap, h(x) as hex): the orbit of x takes cap + 1 steps, the most a
@@ -452,8 +472,33 @@ def test_tabulated_inversion_and_range():
         tab.invert(5.0)
 
 
+@pytest.mark.parametrize("xs, ys", [
+    ([0.0, 1.0, np.inf], [0.0, 1.0, 2.0]),
+    ([0.0, 1.0, 2.0], [-np.inf, 1.0, 2.0]),
+    ([0.0, 1.0, 2.0], [0.0, np.nan, 2.0]),
+])
+def test_tabulated_rejects_non_finite_nodes(xs, ys):
+    with pytest.raises(ValueError, match="finite"):
+        TabulatedHomeomorphism(xs, ys)
+
+
 def test_fundamental_domain_rejects_bad_bridge():
     with pytest.raises(ValueError):
         FundamentalDomainConjugacy(0.5, 0.25, 1.0, "cubic")
     with pytest.raises(ValueError):
         FundamentalDomainConjugacy(0.5, 0.25, -1.0, "linear")
+
+
+# with no slope of 0, a product of 0 or inf is a float-range failure, not a
+# boundary slope
+@pytest.mark.parametrize("f_slopes, g_slopes, n, what", [
+    ((0.5, 0.25), (0.3, 0.6), 1100, r"k\* over 1100 steps underflows"),
+    ((0.5, 0.25), (0.9, 0.95), 1100, r"k\* over 1100 steps underflows"),
+    ((3.0, 5.0), (2.0, 4.0), 1000, r"k\* over 1000 steps overflows"),
+    ((1.5, 1.2), (3.0, 5.0), 1000, r"m\* over 1000 steps overflows"),
+])
+def test_weak_conjugacy_product_out_of_range(f_slopes, g_slopes, n, what):
+    F = IfsDescriptor(tuple(linear(k) for k in f_slopes))
+    G = IfsDescriptor(tuple(linear(k) for k in g_slopes))
+    with pytest.raises(NumericFailureError, match=what):
+        weak_conjugacy_linear(F, G, BernoulliSequence(0.5, seed=4), n)

@@ -47,6 +47,14 @@ def test_effective_slope_examples():
     assert effective_slope(neg, ExplicitSequence((1, 2)), 2) == pytest.approx(0.25)
 
 
+
+def test_effective_slope_leaves_float_range_quietly():
+    # pytest turns a leaked overflow warning into a failure
+    sig = BernoulliSequence(0.5, seed=4)
+    assert effective_slope(two_map_ifs(3.0, 5.0), sig, 1000) == np.inf
+    assert effective_slope(two_map_ifs(-3.0, 5.0), PeriodicSequence((1, 2)), 1001) == -np.inf
+    assert effective_slope(two_map_ifs(0.5, 0.25), sig, 1100) == 0.0
+
 def test_effective_slope_rejects_nonlinear():
     F = IfsDescriptor((linear(0.5), linear_plus_lipschitz(0.5, sine_bump(0.1))))
     with pytest.raises(UnsupportedMapError):

@@ -1,10 +1,15 @@
 """Linear parts, Koenigs tables, decay bounds and sequence fate."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ifsconj
 from ifsconj import (
     BernoulliSequence,
     ExplicitSequence,
@@ -164,6 +169,27 @@ def test_koenigs_residual_property(magnitude, sign, c):
     assert np.max(residual) <= 1e-6
     assert h(0.0) == 0.0
     assert np.all(np.diff(h.xs) > 0) and np.all(np.diff(h.ys) > 0)
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+import numpy as np
+from ifsconj import koenigs_conjugacy, smooth
+xs = np.linspace(-0.5, 0.5, 101)
+for f in (smooth(0.5, 0.1), smooth(2.0, 0.1)):
+    h = koenigs_conjugacy(f, 0.5)
+    h.invert(h(xs))
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_koenigs_tables_import_no_scipy():
+    # a fresh interpreter, so that no other test's import of scipy counts
+    src = os.path.dirname(os.path.dirname(ifsconj.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
 
 
 # -- decay bound ----------------------------------------------------------------
