@@ -113,29 +113,65 @@ def orbit_chain_diag(diags, symbols, x0):
 # cap + 1. Every entry sees the same roundings as in a loop of checked steps,
 # so the output keeps its bits, and walks at most _CHECKED steps deep run the
 # checked loop alone.
+#
+# The walk alone decides overruns. At the blind-step point it drops, as
+# stopped by the cap, every entry that provably cannot settle in the steps it
+# has left. When kc*a is normal, those are the entries whose log estimate
+# exceeds a lower bound of the steps left: one step moves log w by at most
+# log(1/kc)*(1 + 1e-15) + 1e-15 (one rounding of the step and of log(1/kc)
+# itself) while w is normal, and a 1e-11 slack covers the roundings of the
+# logs. A subnormal orbit can round by much more than a factor kc per step, so
+# it is bounded only from fl(tiny/kc), the first normal value it can reach.
+# Where no bound holds, an entry whose step rounds back to itself (w*kc == w
+# inward, w/kc == w outward; only inf and subnormals do) never moves again.
+# Dropped entries would reach their cap anyway, so every value and NaN keeps
+# its bits, and an input that needs 1e9 steps against a cap of 1e6 fails
+# after _CHECKED steps instead of walking the cap. The walk still runs over
+# the entries that settle, so a batch that also holds an overrun costs what
+# walking its settling entries costs.
 # ---------------------------------------------------------------------------
 
 # checked steps before the entries still outside step blind; for walks of
 # fewer steps the estimate costs more numpy calls than it saves
 _CHECKED = 8
 
+_TINY = np.finfo(np.float64).tiny  # smallest normal float
+
 
 def _blind_steps(ww, kc, a, cap, inward):
     """Take up to cap unchecked steps of the deep entries of ww, in place.
 
-    Returns each entry's count of blind steps (0 where the estimate leaves
+    Returns each entry's count of blind steps, or None when no entry takes
+    one and none is sure to overrun. The count is 0 where the estimate leaves
     none, or where the entry settled within them and was put back to its
-    start), or None when no entry takes one.
+    start; it is cap, with no step taken, where the entry provably cannot
+    settle within cap steps.
     """
     lo = kc * a
+    ell = -math.log(kc)
     if inward:
-        est = (np.log(ww) - math.log(a)) / -math.log(kc)
+        est = (np.log(ww) - math.log(a)) / ell
     else:
-        est = (math.log(lo) - np.log(ww)) / -math.log(kc)
+        est = (math.log(lo) - np.log(ww)) / ell
+    # est > reach: the entry needs more than cap steps, by the log bound
+    reach = ((cap + 1) * (ell * (1 + 1e-15) + 1e-15) + 1e-11) / ell
+    if lo >= _TINY and (inward or (math.log(lo) - math.log(_TINY / kc)) / ell > reach):
+        # a step rounds back to its input only at inf or a subnormal, both
+        # past reach: a subnormal is bounded from fl(_TINY / kc)
+        over = np.flatnonzero(est > reach)
+    else:
+        # no bound holds for a subnormal (nor for a normal entry within one
+        # step of fl(_TINY / kc)); one whose step rounds back never moves
+        over = np.flatnonzero(ww * kc == ww if inward else ww / kc == ww)
     blind = np.minimum(np.ceil(est) - 2.0, float(cap))
+    blind[over] = 0.0
     deep = np.flatnonzero(blind >= 1.0)
-    if deep.size == 0:
+    if deep.size == 0 and over.size == 0:
         return None
+    taken = np.zeros(ww.size, dtype=np.int64)
+    taken[over] = cap
+    if deep.size == 0:
+        return taken
     order = deep[np.argsort(-blind[deep], kind="stable")]
     steps = blind[order].astype(np.int64)
     run = ww[order]
@@ -147,7 +183,6 @@ def _blind_steps(ww, kc, a, cap, inward):
             head = run[:width]
             step(head, kc, out=head)
     moved = run > a if inward else run < lo
-    taken = np.zeros(ww.size, dtype=np.int64)
     ww[order[moved]] = run[moved]
     taken[order[moved]] = steps[moved]
     return taken
@@ -159,9 +194,9 @@ def _walk(w, e, idx, kc, a, cap, inward):
     Inward steps multiply by kc (entries above a), outward steps divide by kc
     (entries below kc*a). Settled entries are written back to w, their step
     count added to e (negative inward), and dropped from the working set.
-    Entries still outside after _CHECKED steps take their blind steps.
-    Returns the indices still outside after the cap; their w and e are left
-    as they were.
+    Entries still outside after _CHECKED steps take their blind steps, and
+    those sure to overrun are dropped there. Returns the indices that do not
+    settle within the cap; their w and e are left as they were.
     """
     lo = kc * a
     ww = w[idx]

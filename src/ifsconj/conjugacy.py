@@ -109,50 +109,6 @@ def _default_cap(log_reach: float | None, kc: float) -> int:
     return min(10 * math.ceil(steps + 1.0) + 64, 1_000_000)
 
 
-_TINY = np.finfo(np.float64).tiny  # smallest normal float
-
-
-def _sure_overrun(
-    vals: np.ndarray, kc: float, a: float, cap: int, log_reach: float | None
-) -> float | None:
-    """The first x of vals whose orbit walk must pass cap steps, or None.
-
-    One walk step moves log|w| by log(1/kc), give or take one rounding of
-    the step and of log(1/kc) itself, so an x at log-distance L from the
-    anchor needs at least (L - 1e-11) / (log(1/kc) * (1 + 1e-15) + 1e-15) - 1
-    steps. The bound holds for normal floats only. A subnormal x below kc*a
-    whose step x/kc rounds back to x never moves, so its walk overruns any
-    cap. x is returned only when every entry before it is sure to settle, so
-    it is the x the walk would report; None leaves the decision to the walk.
-    """
-    if log_reach is None or cap < 0:
-        return None
-    lo = kc * a
-    ell = math.log(1.0 / kc)
-    fast = ell * (1 + 1e-15) + 1e-15
-    slow = ell * (1 - 1e-15) - 1e-15
-    reach = (cap + 2) * fast + 1e-11  # log-distance past which the walk overruns
-    far = log_reach > reach and lo >= _TINY
-    # a nonzero |x| below the smallest normal lies at least this far from a
-    tiny = log_reach > math.log(a) - math.log(_TINY) - 1e-9
-    if not (far or tiny):
-        return None
-    w = np.abs(vals)
-    normal = w >= _TINY
-    with np.errstate(divide="ignore", over="ignore"):
-        dist = np.abs(np.log(w) - math.log(a))
-        overrun = far & normal & (dist > reach)
-        if tiny:
-            overrun |= (w != 0) & ~normal & (w < lo) & (w / kc == w)
-    if not overrun.any():
-        return None
-    first = int(np.argmax(overrun))
-    settles = w[:first] == 0
-    if slow > 0.0 and lo >= _TINY:  # each step makes progress, so near entries settle
-        settles |= normal[:first] & ((dist[:first] + 1e-11) / slow + 2 <= cap + 1)
-    return float(vals[first]) if settles.all() else None
-
-
 @dataclass(frozen=True)
 class FundamentalDomainConjugacy(Homeomorphism1D):
     """Conjugacy h with h(k*x) = m*h(x) for same-interval slopes k, m.
@@ -184,7 +140,7 @@ class FundamentalDomainConjugacy(Homeomorphism1D):
             raise NonConjugateError(
                 f"slopes {self.k} in {tk} and {self.m} in {tm} are not "
                 "topologically conjugate",
-                obstruction=_obstruction_class(self.k, self.m),
+                obstruction=_obstruction_class((self.k, self.m)),
             )
 
     @property
@@ -213,15 +169,13 @@ class FundamentalDomainConjugacy(Homeomorphism1D):
         kc, mc = self.core_slopes
         finite = np.isfinite(xs)
         vals = xs[finite]
-        log_reach = _log_reach(vals, self.anchor)
-        cap = max_steps if max_steps is not None else _default_cap(log_reach, kc)
-        bad = _sure_overrun(vals, kc, self.anchor, cap, log_reach)
-        if bad is None:
-            with np.errstate(over="ignore"):
-                hv = _kernels.fd_eval(vals, kc, mc, self.anchor, _BRIDGE_CODES[self.bridge], cap)
-            if np.isnan(hv).any():
-                bad = float(vals[np.isnan(hv)][0])
-        if bad is not None:
+        cap = max_steps
+        if cap is None:
+            cap = _default_cap(_log_reach(vals, self.anchor), kc)
+        with np.errstate(over="ignore"):
+            hv = _kernels.fd_eval(vals, kc, mc, self.anchor, _BRIDGE_CODES[self.bridge], cap)
+        if np.isnan(hv).any():
+            bad = float(vals[np.isnan(hv)][0])
             raise NumericFailureError(
                 f"orbit exponent search for x={bad} exceeded {cap} steps"
             )
@@ -395,8 +349,10 @@ class CompositeHomeomorphism(Homeomorphism1D):
 # operations
 # ---------------------------------------------------------------------------
 
-def _obstruction_class(k: float, m: float) -> str:
-    if (k > 0) != (m > 0):
+def _obstruction_class(slopes) -> str:
+    """Obstruction of pooled slopes in more than one interval: orientation
+    when their signs disagree, attract/repel when |slope| straddles 1."""
+    if len({s > 0 for s in slopes}) > 1:
         return OBSTRUCTION_ORIENTATION
     return OBSTRUCTION_ATTRACT_REPEL
 
@@ -514,14 +470,11 @@ def same_interval_test(F: IfsDescriptor, G: IfsDescriptor) -> FeasibilityReport:
     tags_g = tuple(intervals.classify_slope_interval(s) for s in slopes_g)
     if intervals.BOUNDARY in tags_f + tags_g:
         raise NonHyperbolicError("a slope of magnitude 0 or 1 has no interval class")
-    pooled = slopes_f + slopes_g
     if len(set(tags_f + tags_g)) == 1:
         return FeasibilityReport("conjugable", None, tags_f, tags_g)
-    signs = {s > 0 for s in pooled}
-    obstruction = (
-        OBSTRUCTION_ORIENTATION if len(signs) > 1 else OBSTRUCTION_ATTRACT_REPEL
+    return FeasibilityReport(
+        "obstructed", _obstruction_class(slopes_f + slopes_g), tags_f, tags_g
     )
-    return FeasibilityReport("obstructed", obstruction, tags_f, tags_g)
 
 
 def weak_conjugacy_linear(
@@ -560,7 +513,7 @@ def weak_conjugacy_linear(
             raise NonConjugateError(
                 f"{first[0]} slope {first[1]} in {first[2]} vs {other[0]} "
                 f"slope {other[1]} in {other[2]}: not conjugable",
-                obstruction=_obstruction_class(first[1], other[1]),
+                obstruction=_obstruction_class([s for _, s, _ in tags]),
             )
     k_star = effective_slope(F, sigma, n)
     m_star = effective_slope(G, sigma, n)

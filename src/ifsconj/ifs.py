@@ -100,7 +100,8 @@ def compose_orbit(F: IfsDescriptor, sigma: SymbolSequence, n: int, x: float) -> 
 def effective_slope(F: IfsDescriptor, sigma: SymbolSequence, n: int) -> float:
     """Product of the slopes along sigma; equals the composite's linear slope.
 
-    A product past the float range is +-inf, and one below it is 0.
+    A product past the float range is +-inf, and one below it is 0. A zero
+    slope makes it the zero of the product's sign, even after an overflow.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -110,6 +111,8 @@ def effective_slope(F: IfsDescriptor, sigma: SymbolSequence, n: int) -> float:
                 f"effective_slope needs linear maps; map {i + 1} is {m.kind!r}"
             )
     syms = _symbols_for(F, sigma, n)
-    slopes = np.array([m.k for m in F.maps])
+    picked = np.array([m.k for m in F.maps])[syms - 1]
+    if not picked.all():  # inf * 0 would be nan
+        return -0.0 if np.signbit(picked).sum() % 2 else 0.0
     with np.errstate(over="ignore"):
-        return float(np.prod(slopes[syms - 1]))
+        return float(np.prod(picked))

@@ -348,31 +348,29 @@ def perturbation_probe(
                     G = cand
             except IfsConjError:
                 continue
-        ok = False
         try:
-            if same_interval_test(F, G).conjugable:
-                g_lin = linear_part(G).linear_ifs
-                alphabet = f_lin.alphabet
-                sigma = ExplicitSequence(
-                    tuple(rng.integers(1, len(alphabet) + 1, size=10)), alphabet
+            g_lin = linear_part(G).linear_ifs
+            alphabet = f_lin.alphabet
+            sigma = ExplicitSequence(
+                tuple(rng.integers(1, len(alphabet) + 1, size=10)), alphabet
+            )
+            ok = True
+            for n in (1, 5, 10):
+                h = weak_conjugacy_linear(f_lin, g_lin, sigma, n)
+                # composites of linear maps are linear with the product slopes
+                ks = effective_slope(f_lin, sigma, n)
+                ms = effective_slope(g_lin, sigma, n)
+                rep = verify_conjugacy(
+                    lambda x, _k=ks: _k * x,
+                    lambda x, _m=ms: _m * x,
+                    h,
+                    grid_size=257,
+                    tolerance=residual_tol,
+                    radius=radius,
                 )
-                ok = True
-                for n in (1, 5, 10):
-                    h = weak_conjugacy_linear(f_lin, g_lin, sigma, n)
-                    # composites of linear maps are linear with the product slopes
-                    ks = effective_slope(f_lin, sigma, n)
-                    ms = effective_slope(g_lin, sigma, n)
-                    rep = verify_conjugacy(
-                        lambda x, _k=ks: _k * x,
-                        lambda x, _m=ms: _m * x,
-                        h,
-                        grid_size=257,
-                        tolerance=residual_tol,
-                        radius=radius,
-                    )
-                    if not rep.passed:
-                        ok = False
-                        break
+                if not rep.passed:
+                    ok = False
+                    break
         except IfsConjError:
             ok = False
         passes += int(ok)

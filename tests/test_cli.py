@@ -117,6 +117,22 @@ def test_orbit_command(tmp_path):
     assert rep["report"]["effective_slope"] == pytest.approx(0.0625)
 
 
+def test_orbit_zero_slope_after_overflow(tmp_path, capsys):
+    # the slope product overflows before it meets the zero slope; the report
+    # gives the exact product 0.0 (it was nan) and no warning reaches stderr
+    doc = {
+        "maps": [{"kind": "linear", "k": 0.0}, {"kind": "linear", "k": 1e200}],
+        "sequence": {"type": "explicit", "symbols": [2, 2, 1]},
+        "x0": 1.0,
+        "n": 3,
+    }
+    inp = write(tmp_path, "orbit.json", doc)
+    out = str(tmp_path / "orbit-report.json")
+    assert main(["orbit", "--input", inp, "--output", out]) == 0
+    assert '"effective_slope": 0.0' in open(out).read()
+    assert capsys.readouterr().err == ""
+
+
 def test_orbit_csv(tmp_path):
     doc = {
         "maps": [{"kind": "linear", "k": 0.5}, {"kind": "linear", "k": 0.25}],

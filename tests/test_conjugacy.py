@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifsconj import (
     BernoulliSequence,
@@ -142,6 +144,37 @@ def test_monotone_on_sorted_grid():
         assert np.all(np.diff(h(xs)) > 0)
 
 
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    kc=st.floats(0.01, 0.99),
+    mc=st.floats(0.01, 0.99),
+    expansive=st.booleans(),
+    negative=st.booleans(),
+    bridge=st.sampled_from(["linear", "power-law"]),
+    log_a=st.floats(-3.0, 3.0),
+    t=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
+    signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=2, max_size=2),
+)
+def test_conjugacy_properties(kc, mc, expansive, negative, bridge, log_a, t, signs):
+    k, m = (1 / kc, 1 / mc) if expansive else (kc, mc)
+    if negative:
+        k, m = -k, -m
+    h = build_linear_conjugacy(k, m, 10.0**log_a, bridge)
+    # |h(x)/a| grows like |x/a|**alpha: keep x within a*1e+-30 and h(x) in range
+    alpha = math.log(mc) / math.log(kc)
+    log_x = log_a + np.array(t) * min(30.0, 250.0 / alpha)
+    xs = np.sort(np.array(signs) * 10.0**log_x)
+    hx = h(xs)
+    assert (h(-xs) == -hx).all()
+    assert (np.abs(h.invert(hx) - xs) <= 1e-12 * np.abs(xs)).all()
+    radius = 10.0 ** (log_a + min(1.0, 250.0 / alpha))
+    assert verify_conjugacy(linear(k), linear(m), h, tolerance=1e-8, radius=radius).passed
+    # adjacent floats at the seams a*kc**j can reverse by a few ulp, so
+    # order is checked only between draws that are far enough apart
+    if xs[1] - xs[0] >= 1e-9 * np.abs(xs).max():
+        assert hx[1] > hx[0] if k > 0 else hx[1] < hx[0]
+
+
 def test_negative_pair_reverses_orientation():
     h = build_linear_conjugacy(-0.6, -0.2, 1.0, "linear")
     xs = np.linspace(-10, 10, 2001)
@@ -202,11 +235,16 @@ def test_iteration_cap_raises_with_nan_in_batch():
     (0.999999, 1e300, r"1e\+300"),
     # log(1/k) is one rounding here: the estimate still bounds the steps
     (1.0 - 2.0**-53, 2.0, r"2\.0"),
+    # subnormals: bounded by the steps from fl(tiny / kc), the first normal
+    # value their outward orbit can reach
+    (0.999999, 1e-315, r"1e-315"),
+    (1 / 0.999999, -1e-310, r"-1e-310"),
+    (0.9999, 1e-315, r"1e-315"),
 ])
 def test_near_one_slope_overrun_raises_before_walking(k, x, name):
     # the orbit of 1e300 needs about 6.9e8 steps of 0.999999 against a cap of
-    # 1e6; the log estimate says so before any step is taken
-    h = build_linear_conjugacy(k, 0.5)
+    # 1e6; the walk's log bound says so after its first checked steps
+    h = build_linear_conjugacy(k, 0.5 if k < 1 else 2.0)
     t0 = time.perf_counter()
     with pytest.raises(NumericFailureError, match=f"x={name} exceeded 1000000 steps"):
         h(x)
@@ -218,14 +256,25 @@ def test_near_one_slope_overrun_raises_before_walking(k, x, name):
     # 5e-324 / 0.999999 rounds back to 5e-324: this subnormal never settles,
     # and it comes first
     ([5e-324, 1e300], 1000, r"x=5e-324 exceeded 1000 steps"),
-    # 5e-324 never settles, but the walk of the subnormal 1e-315 before it is
-    # not proven to settle, so the walk decides, and 1e-315 fails first
+    # neither 1e-315 nor the stuck 5e-324 settles within 50 steps; the walk
+    # drops both and the first is named
     ([1.0, 1e-315, 5e-324], 50, r"x=1e-315 exceeded 50 steps"),
 ])
 def test_overrun_names_the_first_entry_the_walk_would_report(xs, cap, first):
     h = build_linear_conjugacy(0.999999, 0.5)
     with pytest.raises(NumericFailureError, match=first):
         h.evaluate(np.array(xs), max_steps=cap)
+
+
+def test_subnormal_overrun_before_a_far_one_is_named_fast():
+    # both orbits need far more than the default cap of 1e6 steps; the walk
+    # proves it for each, so the first of them in the batch is named at once
+    h = build_linear_conjugacy(0.999999, 0.5)
+    t0 = time.perf_counter()
+    with pytest.raises(NumericFailureError) as err:
+        h(np.array([1.0, 1e-315, 1e300]))
+    assert time.perf_counter() - t0 < 0.1
+    assert str(err.value) == "orbit exponent search for x=1e-315 exceeded 1000000 steps"
 
 
 # x / kc rounds back to x, so the outward orbit never moves and no cap is
@@ -418,6 +467,20 @@ def test_weak_conjugacy_rejects_mixed_intervals():
     with pytest.raises(NonConjugateError) as err:
         weak_conjugacy_linear(F, G, ExplicitSequence((1, 2)), 2)
     assert "F[2]" in str(err.value)
+
+
+def test_weak_conjugacy_obstruction_pools_signs():
+    # F's own slopes straddle 1, but G brings a negative slope: one rule for
+    # both checks names the pooled sign disagreement
+    F = IfsDescriptor((linear(0.5), linear(2.0)))
+    G = IfsDescriptor((linear(-0.5), linear(0.5)))
+    assert same_interval_test(F, G).obstruction == "orientation-mismatch"
+    with pytest.raises(NonConjugateError) as err:
+        weak_conjugacy_linear(F, G, ExplicitSequence((1, 2)), 2)
+    assert err.value.obstruction == "orientation-mismatch"
+    assert str(err.value) == (
+        "F[1] slope 0.5 in (0,1) vs F[2] slope 2.0 in (1,+inf): not conjugable"
+    )
 
 
 # -- same_interval_test --------------------------------------------------------

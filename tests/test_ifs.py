@@ -55,6 +55,21 @@ def test_effective_slope_leaves_float_range_quietly():
     assert effective_slope(two_map_ifs(-3.0, 5.0), PeriodicSequence((1, 2)), 1001) == -np.inf
     assert effective_slope(two_map_ifs(0.5, 0.25), sig, 1100) == 0.0
 
+
+@pytest.mark.parametrize("k1, k2, syms, expected", [
+    # 1e200 * 1e200 overflows before the zero: the product is still 0
+    (0.0, 1e200, (2, 2, 1), "0x0.0p+0"),
+    (-0.0, 1e200, (2, 2, 1), "-0x0.0p+0"),
+    (0.0, -1e200, (2, 2, 1), "0x0.0p+0"),
+    (0.0, -1e200, (2, 1, 2, 2), "-0x0.0p+0"),
+    (0.0, 0.5, (2, 1), "0x0.0p+0"),
+])
+def test_effective_slope_zero_slope_gives_signed_zero(k1, k2, syms, expected):
+    # pytest turns a leaked invalid-value warning into a failure
+    F = IfsDescriptor((linear(k1), linear(k2)))
+    assert effective_slope(F, ExplicitSequence(syms), len(syms)).hex() == expected
+
+
 def test_effective_slope_rejects_nonlinear():
     F = IfsDescriptor((linear(0.5), linear_plus_lipschitz(0.5, sine_bump(0.1))))
     with pytest.raises(UnsupportedMapError):

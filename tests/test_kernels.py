@@ -209,6 +209,26 @@ def test_fd_eval_caps_near_step_counts(kc, mc, bridge):
         assert_fd_equal(xs, kc, mc, a, bridge, steps - 2)
 
 
+@pytest.mark.parametrize("kc", [0.9, 0.99])
+@pytest.mark.parametrize("x", [1e-310, 5e-320])
+def test_fd_eval_caps_near_step_counts_subnormal(x, kc):
+    # a subnormal orbit rounds by more than a normal one; the walk must not
+    # drop it as an overrun when a cap near its step count lets it settle
+    a, mc, bridge = 1.3, 0.37, K.BRIDGE_LINEAR
+    n, _ = locate_fundamental_exponent(x, kc, a, cap=10**6)
+    steps = abs(n)
+    xs = np.array([x, -x, 0.5 * a])
+    # the loop's output at any cap: this, with nan for x and -x below steps - 1
+    settled = fd_eval_loop(xs, kc, mc, a, bridge, steps - 1)
+    assert np.isfinite(settled).all()
+    for cap in range(steps - 4, steps + 2):
+        got = K.fd_eval(xs, kc, mc, a, bridge, cap)
+        want = settled.copy()
+        if steps > cap + 1:
+            want[:2] = np.nan
+        assert got.tobytes() == want.tobytes(), cap
+
+
 def test_fd_eval_restarts_an_entry_that_settles_within_its_blind_steps(monkeypatch):
     # with a subnormal anchor and kc near 1, the inward orbit of x rounds down
     # faster than its log estimate: it settles within the blind steps it is
