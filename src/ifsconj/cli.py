@@ -54,7 +54,10 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        # one finiteness check per array; only non-finite cells need repr
+        if obj.dtype.kind == "f" and not np.isfinite(obj).all():
+            return [_jsonable(v) for v in obj.tolist()]
+        return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
         obj = obj.item()
     if isinstance(obj, float) and not np.isfinite(obj):
@@ -64,8 +67,9 @@ def _jsonable(obj):
 
 def _atomic_write(path: str, text: str):
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ifsconj-", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ifsconj-", suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         # mkstemp creates the file 0600; give the report the mode open() would
@@ -73,22 +77,24 @@ def _atomic_write(path: str, text: str):
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        # name the report, not the temporary file beside it
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _emit(args, command: str, resolved: dict, report: dict, csv_table=None) -> None:
     if args.format == "csv":
         if csv_table is None:
             raise SchemaError(f"{command} has no CSV representation; use --format json")
-        header, rows = csv_table
+        header, columns = csv_table
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_jsonable(v) for v in row])
+        # csv writes float("inf") as inf, the repr the JSON path gives it
+        writer.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
         text = buf.getvalue()
     else:
         envelope = {
@@ -161,10 +167,7 @@ def _build_and_verify(args):
     }
     h = build_linear_conjugacy(_linear_slope(f, "f"), _linear_slope(g, "g"), anchor, bridge)
     rep = verify_conjugacy(f, g, h, args.grid, args.tolerance, radius)
-    csv_table = (
-        ["x", "h_x", "residual"],
-        list(zip(rep.grid, rep.h_values, rep.residuals)),
-    )
+    csv_table = (["x", "h_x", "residual"], (rep.grid, rep.h_values, rep.residuals))
     return resolved, h, rep, csv_table, 0 if rep.passed else 2
 
 
@@ -233,10 +236,7 @@ def _run_orbit(args):
     if F.is_linear:
         report["effective_slope"] = effective_slope(F, sigma, n)
     resolved = {"input": doc, "radius": radius, "n": n}
-    csv_table = (
-        ["step", "symbol", "value"],
-        list(zip(range(1, n + 1), syms, traj)),
-    )
+    csv_table = (["step", "symbol", "value"], (range(1, n + 1), syms, traj))
     return resolved, report, csv_table, 0
 
 
@@ -274,17 +274,8 @@ def _run_classify(args):
     resolved = {"input": doc, "n_max": n_max, "radius": radius}
     csv_table = (
         ["n", "n1", "n2", "ratio", "orbit_F", "orbit_G", "bound"],
-        list(
-            zip(
-                rep.ns,
-                rep.n1,
-                rep.n2,
-                rep.ratio_trajectory,
-                rep.orbit_f_abs,
-                rep.orbit_g_abs,
-                rep.bound,
-            )
-        ),
+        (rep.ns, rep.n1, rep.n2, rep.ratio_trajectory, rep.orbit_f_abs, rep.orbit_g_abs,
+         rep.bound),
     )
     return resolved, report, csv_table, 0
 
@@ -338,7 +329,7 @@ def _run_multidim(args):
             "samples": len(xs),
             "conditioning_warning": warning,
         }
-        csv_table = (["sample", "residual"], list(enumerate(residuals)))
+        csv_table = (["sample", "residual"], (range(len(residuals)), residuals))
         return resolved, report, csv_table, 0
 
     if "g_maps" not in doc:
@@ -365,7 +356,7 @@ def _run_multidim(args):
             {"k": c.k, "m": c.m, "orientation": c.orientation} for c in h.components
         ],
     }
-    csv_table = (["sample", "residual"], [(0, residual)])
+    csv_table = (["sample", "residual"], ([0], [residual]))
     return resolved, report, csv_table, 0
 
 
@@ -392,7 +383,7 @@ def _run_distance(args):
         xs = np.linspace(-radius, radius, args.grid)
         vgap = np.abs(np.asarray(f(xs)) - np.asarray(g(xs)))
         dgap = np.abs(np.asarray(f.derivative(xs)) - np.asarray(g.derivative(xs)))
-        csv_table = (["x", "value_gap", "derivative_gap"], list(zip(xs, vgap, dgap)))
+        csv_table = (["x", "value_gap", "derivative_gap"], (xs, vgap, dgap))
     resolved = {"input": doc, "level": args.level, "grid": args.grid, "radius": radius}
     return resolved, report, csv_table, 0
 
@@ -421,7 +412,8 @@ def _run_audit(args):
         "verdict": "hyperbolic" if audit.all_hyperbolic else "non-hyperbolic",
     }
     resolved = {"input": doc, "radius": radius}
-    csv_table = (["map", "fixed_point", "derivative", "margin", "verdict"], rows)
+    # no fixed points: no columns, so the table is its header alone
+    csv_table = (["map", "fixed_point", "derivative", "margin", "verdict"], list(zip(*rows)))
     return resolved, report, csv_table, 0 if audit.all_hyperbolic else 2
 
 
@@ -471,7 +463,7 @@ def _run_attractor(args):
         "points": sample.points,
     }
     resolved = {"input": doc, "seed": seed, "radius": radius}
-    csv_table = (["x"], [(p,) for p in sample.points])
+    csv_table = (["x"], (sample.points,))
     return resolved, report, csv_table, 0
 
 
@@ -552,28 +544,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        resolved, report, csv_table, code = HANDLERS[args.command](args)
+        try:
+            resolved, report, csv_table, code = HANDLERS[args.command](args)
+        except ObstructionError as exc:
+            resolved, csv_table, code = {"input": args.input}, None, 2
+            report = {
+                "verdict": "obstructed",
+                "reason": str(exc),
+                "obstruction": getattr(exc, "obstruction", None),
+            }
+            args.format = "json"  # obstruction reports have no row form
         _emit(args, args.command, resolved, report, csv_table)
         return code
-    except SchemaError as exc:
-        print(f"ifsconj {args.command}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"ifsconj {args.command}: {exc}", file=sys.stderr)
-        return 1
-    except ObstructionError as exc:
-        obstruction = {
-            "verdict": "obstructed",
-            "reason": str(exc),
-            "obstruction": getattr(exc, "obstruction", None),
-        }
-        args.format = "json"  # obstruction reports have no row form
-        _emit(args, args.command, {"input": args.input}, obstruction, None)
-        return 2
-    except IfsConjError as exc:
-        print(f"ifsconj {args.command}: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (IfsConjError, OSError, ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"ifsconj {args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -41,29 +41,44 @@ def load_json(path: str):
         ) from exc
 
 
+_TYPE_NAMES = {
+    int: "an integer", float: "a number", bool: "a boolean",
+    str: "a string", list: "a list", dict: "an object",
+}
+
+
+def _check_type(v, kind: type, field: str):
+    # a bool is neither an int nor a float here, and an int is a valid float
+    if isinstance(v, bool):
+        ok = kind is bool
+    else:
+        ok = isinstance(v, (int, float) if kind is float else kind)
+    if not ok:
+        raise SchemaError(f"{field} must be {_TYPE_NAMES[kind]}", field=field)
+
+
 def check_keys(obj, ctx: str, required: dict, optional: dict = {}):
+    """Check the field names of obj and the JSON type each field declares."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{ctx} must be an object", field=ctx)
-    for key in obj:
-        if key not in required and key not in optional:
+    for key, v in obj.items():
+        kind = required.get(key, optional.get(key))
+        if kind is None:
             raise SchemaError(f"unknown field {ctx}.{key}", field=f"{ctx}.{key}")
+        _check_type(v, kind, f"{ctx}.{key}")
     for key in required:
         if key not in obj:
             raise SchemaError(f"missing field {ctx}.{key}", field=f"{ctx}.{key}")
 
 
 def number_field(obj, ctx: str, key: str) -> float:
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SchemaError(f"{ctx}.{key} must be a number", field=f"{ctx}.{key}")
-    return float(v)
+    _check_type(obj[key], float, f"{ctx}.{key}")
+    return float(obj[key])
 
 
 def int_field(obj, ctx: str, key: str) -> int:
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise SchemaError(f"{ctx}.{key} must be an integer", field=f"{ctx}.{key}")
-    return v
+    _check_type(obj[key], int, f"{ctx}.{key}")
+    return obj[key]
 
 
 def int_list_field(obj, ctx: str, key: str) -> list[int]:
@@ -167,10 +182,8 @@ def parse_diagonal_maps(obj, dimension: int, ctx: str = "maps") -> list[Diagonal
         mctx = f"{ctx}[{i}]"
         check_keys(entry, mctx, {"diag": list})
         diag = entry["diag"]
-        if (
-            not isinstance(diag, list)
-            or len(diag) != dimension
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in diag)
+        if len(diag) != dimension or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in diag
         ):
             raise SchemaError(
                 f"{mctx}.diag must be a list of {dimension} numbers",

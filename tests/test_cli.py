@@ -81,6 +81,41 @@ def test_obstruction_exit_code(tmp_path):
     assert rep["report"]["obstruction"] == "attract-repel-mismatch"
 
 
+@pytest.mark.parametrize("doc", [
+    CONJ_DOC,
+    {"f": {"kind": "linear", "k": 0.5}, "g": {"kind": "linear", "k": -0.5}},
+], ids=["report", "obstruction"])
+@pytest.mark.parametrize("target, error", [
+    ("no-such-dir/report.json", "[Errno 2] No such file or directory"),
+    ("a-dir", "[Errno 21] Is a directory"),  # fails at the rename of the temporary file
+])
+def test_unwritable_output_exit_1_names_output(tmp_path, capsys, doc, target, error):
+    inp = write(tmp_path, "in.json", doc)
+    (tmp_path / "a-dir").mkdir()
+    out = str(tmp_path / target)
+    assert main(["conjugacy", "--input", inp, "--output", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"ifsconj conjugacy: {error}: {out!r}\n"
+    assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == ["a-dir", "in.json"]
+
+
+# "10" and 2.5 ended in a TypeError traceback, and true ran as n = 1
+@pytest.mark.parametrize("n", ["10", 2.5, True, None])
+def test_orbit_mistyped_n_exit_1(tmp_path, capsys, n):
+    doc = {
+        "maps": [{"kind": "linear", "k": 0.5}],
+        "sequence": {"type": "periodic", "pattern": [1]},
+        "x0": 1.0,
+        "n": n,
+    }
+    inp = write(tmp_path, "orbit.json", doc)
+    assert main(["orbit", "--input", inp]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "ifsconj orbit: document.n must be an integer\n"
+    assert captured.out == ""
+
+
 def test_missing_input_exit_1(tmp_path, capsys):
     assert main(["verify", "--input", str(tmp_path / "nope.json")]) == 1
     assert "No such file" in capsys.readouterr().err
@@ -446,13 +481,67 @@ PROBE_DOC = {
         {"kind": "linear", "k": 0.5},
     ],
 }
+LINEARIZE_DOC = {
+    "maps": [
+        {"kind": "smooth", "name": "rational-quadratic", "k": 0.5, "c": 0.1},
+        {"kind": "linear+lipschitz", "k": 0.3,
+         "perturbation": {"shape": "sine", "amplitude": 0.1, "lipschitz": 0.1}},
+        {"kind": "linear", "k": 0.25},
+    ],
+}
+AUDIT_DOC = {
+    "maps": [
+        {"kind": "linear+lipschitz", "k": 0.4,
+         "perturbation": {"shape": "sine", "amplitude": 0.2, "lipschitz": 0.2}},
+        {"kind": "smooth", "name": "rational-quadratic", "k": 0.5, "c": 0.1},
+    ],
+}
+# the rational bump puts a fixed-point derivative on the unit boundary
+AUDIT_NON_HYPERBOLIC_DOC = {
+    "maps": [
+        {"kind": "linear+lipschitz", "k": 0.7,
+         "perturbation": {"shape": "rational", "amplitude": 0.3, "lipschitz": 0.3}},
+        {"kind": "linear", "k": 0.5},
+    ],
+}
+# no "x": the similarity route samples 256 points from the default seed
+SIMILARITY_DOC = {
+    "dimension": 2,
+    "maps": [{"diag": [0.5, 0.25]}, {"diag": [0.4, 0.3]}],
+    "sequence": {"type": "bernoulli", "p": 0.5, "seed": 3},
+    "n": 6,
+    "similarity": {"A": [[1.0, 1.0], [0.0, 1.0]]},
+}
+COMPONENTWISE_DOC = {
+    "dimension": 2,
+    "maps": [{"diag": [0.5, 0.3]}, {"diag": [0.25, 0.6]}],
+    "g_maps": [{"diag": [0.4, 0.2]}, {"diag": [0.35, 0.5]}],
+    "sequence": {"type": "explicit", "symbols": [1, 2]},
+    "n": 2,
+}
+# opposite orientations: the report is an obstruction with exit code 2
+OBSTRUCTION_DOC = {"f": {"kind": "linear", "k": 0.5}, "g": {"kind": "linear", "k": -0.5}}
+# the affine Cantor system at the size of the benchmark's large attractor runs
+ATTRACTOR_LARGE_DOC = {
+    "maps": [
+        {"kind": "affine", "k": 0.3333333333333333, "b": 0.0},
+        {"kind": "affine", "k": 0.3333333333333333, "b": 0.6666666666666666},
+    ],
+    "allow_affine": True,
+    "iterations": 60000,
+    "burn_in": 100,
+    "x0": 0.5,
+    "seed": 11,
+}
 
 # sha256 of each report: attractor, orbit and classify recorded before the
 # orbit kernels were rewritten, distance and probe before the stability
 # distances shared per-map grid data, conjugacy and verify before the
 # fundamental-domain walk took blind steps, orbit-diverging before the slope
-# product stopped warning of its overflow; the version field is blanked so
-# that a version bump alone changes nothing
+# product stopped warning of its overflow, linearize, audit, multidim,
+# obstruction and the large conjugacy and attractor reports before reports
+# were emitted a column at a time; the version field is blanked so that a
+# version bump alone changes nothing
 PINNED_REPORTS = {
     ("attractor", "json"): "fa62c5b0db35231a5e53b59376412b991dee388ff1a3367915157cfb1dca34a0",
     ("attractor", "csv"): "49832eb0e222617b8ee149143f83c6e54ccc6759c16e337ece4573e15b6c7627",
@@ -477,6 +566,18 @@ PINNED_REPORTS = {
     ("verify-deep", "csv"): "35e09ed6b6a85ab9a8ad34c0e7ef555615a38d40e94005030614bac7867fe1a1",
     ("orbit-diverging", "json"): "d309999d672ef3e0327cc0460a18c149a0b050522df42611c770108ec4def387",
     ("orbit-diverging", "csv"): "1605e6ffd5798c20de665b6535668bda982245dfb8576d7b2e0f9a557cda7899",
+    ("linearize", "json"): "fe80dd70fc6f9c73749753c4e001227db300725c30d1bf485a70b4dae2d782d3",
+    ("audit", "json"): "c195de4cb6de2dbeb76b7e668051a52964d6bf478c689bfbb6cddd19ce177cb0",
+    ("audit", "csv"): "c646256d2a2975e356056f034df18b228f0dbb31837244b34b24fe99a4db5587",
+    ("audit-non-hyperbolic", "json"): "a0cb747cae395dd1b5103bb257beba897dc8fde664df7f16bba0ae2b638804b1",
+    ("audit-non-hyperbolic", "csv"): "6ca866c5dafda22e8395e60e05d9a46dd972658ec37414cab67ee5cb25ce2ad8",
+    ("multidim-similarity", "json"): "8529ad51f5ad6ab591fda0ba3301b9c7f138be008a920b0cc52291360cc50560",
+    ("multidim-similarity", "csv"): "ef3e7cb02ae0df1df0e069f166ee997aa9fdb701b8be7641b476dcebd0937574",
+    ("multidim-componentwise", "json"): "4c2efa48b436e2f9ecf3fb816adf914dd2f56933be48f416da1b6d32db5539e3",
+    ("multidim-componentwise", "csv"): "3472a1af00ef7098ec1aa8a1ec04951115e6f3dedcd9b70d4ea774a12c8895c1",
+    ("obstruction", "json"): "26486898c72b60b23b70070654cf9a6b56b19f63568aea952940c1d93c552fd4",
+    ("conjugacy-large", "csv"): "17a7f62a8a6e50b985d1e7fa79d2dff14ee76bc0937d96c62ebef7dc8ec60a9f",
+    ("attractor-large", "json"): "77791f80a1997cdd9f0761c79c054e02ea290cda93c1e0a4b37c82de8189f138",
 }
 # case -> (subcommand, document, extra arguments)
 PINNED_INPUTS = {
@@ -492,16 +593,29 @@ PINNED_INPUTS = {
     "conjugacy-deep": ("conjugacy", CONJ_DOC, ["--radius", "1e100", "--grid", "2001"]),
     "verify-deep": ("verify", CONJ_DOC, ["--radius", "1e100", "--grid", "2001"]),
     "orbit-diverging": ("orbit", DIVERGING_DOC, []),
+    "linearize": ("linearize", LINEARIZE_DOC, []),
+    "audit": ("audit", AUDIT_DOC, []),
+    "audit-non-hyperbolic": ("audit", AUDIT_NON_HYPERBOLIC_DOC, []),
+    "multidim-similarity": ("multidim", SIMILARITY_DOC, []),
+    "multidim-componentwise": ("multidim", COMPONENTWISE_DOC, []),
+    "obstruction": ("conjugacy", OBSTRUCTION_DOC, []),
+    "conjugacy-large": ("conjugacy", CONJ_DOC, ["--grid", "20001"]),
+    "attractor-large": ("attractor", ATTRACTOR_LARGE_DOC, []),
 }
+# cases whose report comes with an exit code other than 0
+PINNED_EXIT_CODES = {"audit-non-hyperbolic": 2, "obstruction": 2}
 
 
 def report_digest(tmp_path, case, fmt):
     command, doc, extra = PINNED_INPUTS[case]
     inp = write(tmp_path, f"{case}.json", doc)
     out = str(tmp_path / f"{case}-report.{fmt}")
-    assert main([command, "--input", inp, "--output", out, "--format", fmt, *extra]) == 0
+    code = main([command, "--input", inp, "--output", out, "--format", fmt, *extra])
+    assert code == PINNED_EXIT_CODES.get(case, 0)
     text = open(out, "rb").read()
     text = text.replace(f'"version": "{__version__}"'.encode(), b'"version": ""')
+    # an obstruction report names its input file, which lives in tmp_path
+    text = text.replace(json.dumps(inp).encode(), b'""')
     return hashlib.sha256(text).hexdigest()
 
 

@@ -127,3 +127,21 @@ def test_load_json_reports_position(tmp_path):
 def test_numbers_reject_booleans():
     with pytest.raises(SchemaError):
         config.parse_map({"kind": "linear", "k": True})
+
+
+@pytest.mark.parametrize("kind, good, bad", [
+    (int, [0, -3, 2**70], [True, 2.0, "1", None, [1]]),
+    (float, [0, 2.5, -1e308], [False, "2.5", None, {}]),
+    (bool, [True, False], [0, 1.0, "true"]),
+    (str, ["x"], [1, True, None]),
+    (list, [[], [1]], [{}, "[]"]),
+    (dict, [{}], [[], True]),
+])
+def test_check_keys_enforces_declared_types(kind, good, bad):
+    for v in good:
+        config.check_keys({"a": v}, "doc", {"a": kind})
+        config.check_keys({"a": v}, "doc", {}, {"a": kind})
+    for v in bad:
+        with pytest.raises(SchemaError, match=r"^doc\.a must be ") as err:
+            config.check_keys({"a": v}, "doc", {}, {"a": kind})
+        assert err.value.field == "doc.a"

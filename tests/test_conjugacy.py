@@ -73,6 +73,31 @@ def test_power_law_oracle_log_spaced_to_tiny_x():
         assert np.max(np.abs(h(xs) - expect) / np.abs(expect)) < 1e-9
 
 
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    kc=st.floats(0.01, 0.99),
+    mc=st.floats(0.01, 0.99),
+    expansive=st.booleans(),
+    negative=st.booleans(),
+    t=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8),
+    signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=8, max_size=8),
+)
+def test_power_law_oracle_property(kc, mc, expansive, negative, t, signs):
+    # k and m in each of the four slope intervals, anchor 1
+    k, m = (1 / kc, 1 / mc) if expansive else (kc, mc)
+    if negative:
+        k, m = -k, -m
+    h = build_linear_conjugacy(k, m, 1.0, "power-law")
+    alpha = math.log(abs(m)) / math.log(abs(k))
+    # |x| within 1e+-6, and |h(x)| = |x|**alpha within 1e+-250
+    xs = np.array(signs[: len(t)]) * 10.0 ** (np.array(t) * min(6.0, 250.0 / alpha))
+    # the negated route (k < 0) flips the sign of the positive-slope conjugacy
+    expect = np.sign(k) * np.sign(xs) * np.abs(xs) ** alpha
+    # each fundamental-domain step and the power round once, so the error
+    # grows like (steps + alpha) ulp; 24000 random draws stayed below 2e-12
+    assert (np.abs(h(xs) - expect) <= 1e-10 * np.abs(expect)).all()
+
+
 def test_identity_when_slopes_match():
     h = build_linear_conjugacy(0.5, 0.5, 1.0, "linear")
     xs = grid()
