@@ -91,173 +91,109 @@ def orbit_chain_diag(diags, symbols, x0):
 # ---------------------------------------------------------------------------
 # fundamental-domain homeomorphism evaluation
 #
-# Contractive core: 0 < kc, mc < 1, anchor a > 0. Values are pushed into the
-# fundamental interval [kc*a, a] by repeated multiplication/division by kc
-# (ties resolved toward the smaller exponent by the closed-interval compares),
-# fed through the bridge, and rescaled by the matching power of mc, read from
-# a table of mc**j over the exponent range. Odd extension handles negative
-# arguments. Returns NaN where the step cap is hit.
-#
-# Deep orbits take blind steps. For w > 0 and 0 < kc < 1, fl(w*kc) <= w and
-# fl(w/kc) >= w, and rounding is monotone, so an inward walk never increases
-# and an outward walk never decreases: an entry still outside [kc*a, a] after
-# n steps was outside after every earlier step, and the compares of those
-# steps can be skipped. Entries still outside after _CHECKED checked steps
-# estimate their remaining step count from log(|w|/a) / log(1/kc) and take
-# all but the last two of those steps unchecked, one in-place multiply or
-# divide per step on the prefix of entries (sorted by estimate) still
-# stepping. One compare then confirms each entry is still outside; the rare
-# entry that already settled (subnormal orbits can round faster than the
-# estimate) restarts from where the checked steps left it. The checked loop
-# takes the last steps and counts each entry's blind steps against its
-# cap + 1. Every entry sees the same roundings as in a loop of checked steps,
-# so the output keeps its bits, and walks at most _CHECKED steps deep run the
-# checked loop alone.
-#
-# The walk alone decides overruns. At the blind-step point it drops, as
-# stopped by the cap, every entry that provably cannot settle in the steps it
-# has left. When kc*a is normal, those are the entries whose log estimate
-# exceeds a lower bound of the steps left: one step moves log w by at most
-# log(1/kc)*(1 + 1e-15) + 1e-15 (one rounding of the step and of log(1/kc)
-# itself) while w is normal, and a 1e-11 slack covers the roundings of the
-# logs. A subnormal orbit can round by much more than a factor kc per step, so
-# it is bounded only from fl(tiny/kc), the first normal value it can reach.
-# Where no bound holds, an entry whose step rounds back to itself (w*kc == w
-# inward, w/kc == w outward; only inf and subnormals do) never moves again.
-# Dropped entries would reach their cap anyway, so every value and NaN keeps
-# its bits, and an input that needs 1e9 steps against a cap of 1e6 fails
-# after _CHECKED steps instead of walking the cap. The walk still runs over
-# the entries that settle, so a batch that also holds an overrun costs what
-# walking its settling entries costs.
+# Contractive core: 0 < kc, mc < 1, anchor a > 0. Each |x| gets an orbit
+# exponent e with w = |x|*kc**-e in [kc*a, a]; h = bridge(w)*mc**e, and odd
+# extension handles negative arguments. Entries first take up to _CHECKED
+# checked steps, one multiply or divide by kc each, which keeps the shallow
+# grids cheap; ties resolve toward the smaller |e| by the closed compares.
+# The entries still outside then jump in closed form: e from the log,
+# corrected by one compare each way against the seam floats a*kc**e, and
+# w = |x|*kc**-e clipped to [kc*a, a]. Clipping h into [top(e+1), top(e)],
+# top(e) the value at w = a, makes neighbouring intervals meet at one float,
+# so h never decreases between adjacent floats, at the seams included.
 # ---------------------------------------------------------------------------
 
-# checked steps before the entries still outside step blind; for walks of
-# fewer steps the estimate costs more numpy calls than it saves
-_CHECKED = 8
+_CHECKED = 8  # checked steps before the entries still outside jump
 
 _TINY = np.finfo(np.float64).tiny  # smallest normal float
 
 
-def _blind_steps(ww, kc, a, cap, inward):
-    """Take up to cap unchecked steps of the deep entries of ww, in place.
+def _scale(z, base, e):
+    """z * base**e for an array e of integral floats.
 
-    Returns each entry's count of blind steps, or None when no entry takes
-    one and none is sure to overrun. The count is 0 where the estimate leaves
-    none, or where the entry settled within them and was put back to its
-    start; it is cap, with no step taken, where the entry provably cannot
-    settle within cap steps.
+    Where base**e is not a normal float, z is multiplied by the powers of
+    the two halves of e in turn, each in range while base**e is within its
+    square.
     """
-    lo = kc * a
-    ell = -math.log(kc)
-    if inward:
-        est = (np.log(ww) - math.log(a)) / ell
-    else:
-        est = (math.log(lo) - np.log(ww)) / ell
-    # est > reach: the entry needs more than cap steps, by the log bound
-    reach = ((cap + 1) * (ell * (1 + 1e-15) + 1e-15) + 1e-11) / ell
-    if lo >= _TINY and (inward or (math.log(lo) - math.log(_TINY / kc)) / ell > reach):
-        # a step rounds back to its input only at inf or a subnormal, both
-        # past reach: a subnormal is bounded from fl(_TINY / kc)
-        over = np.flatnonzero(est > reach)
-    else:
-        # no bound holds for a subnormal (nor for a normal entry within one
-        # step of fl(_TINY / kc)); one whose step rounds back never moves
-        over = np.flatnonzero(ww * kc == ww if inward else ww / kc == ww)
-    blind = np.minimum(np.ceil(est) - 2.0, float(cap))
-    blind[over] = 0.0
-    deep = np.flatnonzero(blind >= 1.0)
-    if deep.size == 0 and over.size == 0:
-        return None
-    taken = np.zeros(ww.size, dtype=np.int64)
-    taken[over] = cap
-    if deep.size == 0:
-        return taken
-    order = deep[np.argsort(-blind[deep], kind="stable")]
-    steps = blind[order].astype(np.int64)
-    run = ww[order]
-    # before step s, the entries with at least s blind steps are a prefix of run
-    widths = np.searchsorted(-steps, -np.arange(1, steps[0] + 1), side="right")
-    step = np.multiply if inward else np.divide
-    with np.errstate(over="ignore", under="ignore"):  # an overshoot restarts
-        for width in widths.tolist():
-            head = run[:width]
-            step(head, kc, out=head)
-    moved = run > a if inward else run < lo
-    ww[order[moved]] = run[moved]
-    taken[order[moved]] = steps[moved]
-    return taken
+    p = np.power(base, e)
+    out = z * p
+    split = ~(p >= _TINY) | (p == math.inf)
+    if split.any():
+        half = np.floor(e[split] / 2)
+        zs = z[split] if np.ndim(z) else z
+        out[split] = zs * np.power(base, half) * np.power(base, e[split] - half)
+    return out
 
 
-def _walk(w, e, idx, kc, a, cap, inward):
-    """Step w[idx] by kc until it lies in [kc*a, a], at most cap + 1 times.
+def _walk(w, e, idx, kc, a, inward):
+    """Step w[idx] by kc until it lies in [kc*a, a], at most _CHECKED times.
 
     Inward steps multiply by kc (entries above a), outward steps divide by kc
-    (entries below kc*a). Settled entries are written back to w, their step
-    count added to e (negative inward), and dropped from the working set.
-    Entries still outside after _CHECKED steps take their blind steps, and
-    those sure to overrun are dropped there. Returns the indices that do not
-    settle within the cap; their w and e are left as they were.
+    (entries below kc*a). Settled entries are written back to w and their
+    step count to e (negative inward). Returns the indices still outside.
     """
     lo = kc * a
     ww = w[idx]
-    left = None  # per index of w: the last loop step the entry may take
-    limit = cap + 1  # the smallest of those over the working set
-    stuck = []
-    for n in range(1, cap + 2):
-        if n == _CHECKED + 1 and idx.size:
-            taken = _blind_steps(ww, kc, a, cap + 1 - _CHECKED, inward)
-            if taken is not None:
-                e[idx] += -taken if inward else taken
-                left = np.empty(w.size, dtype=np.int64)
-                left[idx] = cap + 1 - taken
-                limit = cap + 1 - int(taken.max())
-        if n > limit:
-            over = left[idx] < n
-            stuck.append(idx[over])
-            idx, ww = idx[~over], ww[~over]
-            limit = int(left[idx].min(initial=cap + 1))
+    for n in range(1, _CHECKED + 1):
         if idx.size == 0:
             break
-        if inward:
-            ww = ww * kc
-            out = ww > a
-        else:
-            ww = ww / kc
-            out = ww < lo
+        ww = ww * kc if inward else ww / kc
+        out = ww > a if inward else ww < lo
         if not out.all():
             done = ~out
             w[idx[done]] = ww[done]
-            e[idx[done]] += -n if inward else n
+            e[idx[done]] = -n if inward else n
             idx, ww = idx[out], ww[out]
-    if left is None:
-        return idx
-    stuck = np.concatenate(stuck + [idx])
-    e[stuck] = 0
-    return stuck
+    return idx
+
+
+def _jump(v, kc, a, inward):
+    """Exponent e and w = v*kc**-e in [kc*a, a] of the entries v > 0 that
+    the walk left outside.
+
+    v lies in (a*kc**(e+1), a*kc**e] inward and [a*kc**(e+1), a*kc**e)
+    outward, the walk's ties, once the log estimate is within one of e.
+    """
+    e = np.floor((np.log(v) - math.log(a)) / math.log(kc))
+    above, below = _scale(a, kc, e), _scale(a, kc, e + 1.0)
+    if inward:
+        e = np.minimum(e + (v <= below) - (v > above), -_CHECKED - 1.0)
+    else:
+        e = np.maximum(e + (v < below) - (v >= above), _CHECKED + 1.0)
+    return e, np.clip(_scale(v, kc, -e), kc * a, a)
 
 
 def fd_eval(x, kc, mc, a, bridge_code, cap):
+    """h(x) of the fundamental-domain conjugacy with core slopes kc, mc.
+
+    0 maps to 0, nan and +-inf to nan. cap is None, or a step bound: NaN
+    where |e| > cap + 1, as a walk of cap + 1 steps leaves it.
+    """
     x = np.asarray(x, dtype=np.float64)
     v = np.abs(x).ravel()
     lo = kc * a
     w = v.copy()
-    e = np.zeros(v.shape, dtype=np.int64)
-    zero = v == 0.0
-    stuck_high = _walk(w, e, np.flatnonzero(w > a), kc, a, cap, inward=True)
-    stuck_low = _walk(w, e, np.flatnonzero(~zero & (w < lo)), kc, a, cap, inward=False)
-
-    if bridge_code == BRIDGE_POWER:
-        alpha = math.log(mc) / math.log(kc)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    e = np.zeros(v.shape)
+    # a whole power may leave the float range; _scale splits it and recomputes
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for inward, outside in ((True, np.isfinite(v) & (v > a)), (False, (v != 0.0) & (v < lo))):
+            deep = _walk(w, e, np.flatnonzero(outside), kc, a, inward)
+            if deep.size:
+                e[deep], w[deep] = _jump(v[deep], kc, a, inward)
+        if bridge_code == BRIDGE_POWER:
+            alpha = math.log(mc) / math.log(kc)
             y = a * (w / a) ** alpha
-    else:
-        y = mc * a + (w - lo) * ((a - mc * a) / (a - lo))
-    e_min = e.min(initial=0)
-    powers = np.power(mc, np.arange(e_min, e.max(initial=0) + 1, dtype=np.float64))
-    out = np.sign(x).ravel() * y * powers[e - e_min]
-    out[zero] = 0.0
-    out[stuck_high] = np.nan
-    out[stuck_low] = np.nan
+            top = a  # the bridge at w = a
+        else:
+            slope = (a - mc * a) / (a - lo)
+            y = mc * a + (w - lo) * slope
+            top = mc * a + (a - lo) * slope
+        h = np.maximum(_scale(y, mc, e), _scale(top, mc, e + 1.0))
+    out = np.sign(x).ravel() * h
+    out[v == 0.0] = 0.0
+    out[np.isinf(v)] = np.nan
+    if cap is not None:
+        out[np.abs(e) > cap + 1] = np.nan
     return out.reshape(x.shape)
 
 

@@ -313,7 +313,7 @@ def _run_multidim(args):
         A = config.parse_matrix(doc["similarity"]["A"], m, "similarity.A")
         S = SimilarityIfs(tuple(base), np.array(A))
         if "x" in doc:
-            xs = [np.asarray(doc["x"], dtype=float)]
+            xs = [np.array(config.parse_vector(doc["x"], m, "document.x"))]
         else:
             rng = np.random.default_rng(args.seed or 0)
             xs = list(rng.uniform(-radius, radius, size=(256, m)))

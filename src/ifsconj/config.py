@@ -181,28 +181,25 @@ def parse_diagonal_maps(obj, dimension: int, ctx: str = "maps") -> list[Diagonal
     for i, entry in enumerate(obj):
         mctx = f"{ctx}[{i}]"
         check_keys(entry, mctx, {"diag": list})
-        diag = entry["diag"]
-        if len(diag) != dimension or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in diag
-        ):
-            raise SchemaError(
-                f"{mctx}.diag must be a list of {dimension} numbers",
-                field=f"{mctx}.diag",
-            )
-        out.append(DiagonalMap(tuple(float(v) for v in diag)))
+        out.append(DiagonalMap(tuple(parse_vector(entry["diag"], dimension, f"{mctx}.diag"))))
     return out
 
 
+def _is_vector(obj, dimension: int) -> bool:
+    return isinstance(obj, list) and len(obj) == dimension and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj
+    )
+
+
+def parse_vector(obj, dimension: int, ctx: str) -> list[float]:
+    if not _is_vector(obj, dimension):
+        raise SchemaError(f"{ctx} must be a list of {dimension} numbers", field=ctx)
+    return [float(v) for v in obj]
+
+
 def parse_matrix(obj, dimension: int, ctx: str) -> list[list[float]]:
-    ok = isinstance(obj, list) and len(obj) == dimension
-    if ok:
-        for row in obj:
-            if not isinstance(row, list) or len(row) != dimension or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in row
-            ):
-                ok = False
-                break
-    if not ok:
+    if not (isinstance(obj, list) and len(obj) == dimension
+            and all(_is_vector(row, dimension) for row in obj)):
         raise SchemaError(f"{ctx} must be a {dimension}x{dimension} matrix", field=ctx)
     return [[float(v) for v in row] for row in obj]
 

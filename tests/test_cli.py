@@ -299,6 +299,22 @@ def test_multidim_singular_matrix_exit_1(tmp_path, capsys):
     assert main(["multidim", "--input", inp]) == 1
 
 
+@pytest.mark.parametrize("x", [["a", 1.0], [1.0, True], [1.0, 2.0, 3.0]])
+def test_multidim_bad_x_names_the_field(tmp_path, capsys, x):
+    doc = {
+        "dimension": 2,
+        "maps": [{"diag": [0.5, 0.25]}],
+        "sequence": {"type": "explicit", "symbols": [1, 1]},
+        "x": x,
+        "similarity": {"A": [[1.0, 1.0], [0.0, 1.0]]},
+    }
+    inp = write(tmp_path, "bad-x.json", doc)
+    assert main(["multidim", "--input", inp]) == 1
+    assert capsys.readouterr().err == (
+        "ifsconj multidim: document.x must be a list of 2 numbers\n"
+    )
+
+
 def test_distance_command(tmp_path):
     doc = {
         "maps": [{"kind": "linear", "k": 0.5}],

@@ -1,8 +1,10 @@
 """Kernel behaviours: the step cap, the reference exponent search, the
-fundamental-domain walk equal to its checked step loop, divergent orbits,
-orbit chains equal to their step loops, the Lipschitz maximum."""
+fundamental-domain evaluation against its checked step loop and an exact
+rational reference, divergent orbits, orbit chains equal to their step
+loops, the Lipschitz maximum."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -87,16 +89,22 @@ def _walk_loop(w, e, idx, kc, a, cap, inward):
     return idx
 
 
+def loop_exponents(v, kc, a, cap):
+    """Settled w and exponent e of each v >= 0 by the checked step loop, and
+    the indices that do not settle within cap + 1 steps."""
+    w = v.copy()
+    e = np.zeros(v.shape, dtype=np.int64)
+    stuck_high = _walk_loop(w, e, np.flatnonzero(w > a), kc, a, cap, inward=True)
+    stuck_low = _walk_loop(w, e, np.flatnonzero((v != 0.0) & (w < kc * a)), kc, a, cap, inward=False)
+    return w, e, np.concatenate([stuck_high, stuck_low])
+
+
 def fd_eval_loop(x, kc, mc, a, bridge_code, cap):
     """Reference fundamental-domain evaluation with checked steps and np.power(mc, e)."""
     x = np.asarray(x, dtype=np.float64)
     v = np.abs(x).ravel()
     lo = kc * a
-    w = v.copy()
-    e = np.zeros(v.shape, dtype=np.int64)
-    zero = v == 0.0
-    stuck_high = _walk_loop(w, e, np.flatnonzero(w > a), kc, a, cap, inward=True)
-    stuck_low = _walk_loop(w, e, np.flatnonzero(~zero & (w < lo)), kc, a, cap, inward=False)
+    w, e, stuck = loop_exponents(v, kc, a, cap)
     if bridge_code == K.BRIDGE_POWER:
         alpha = math.log(mc) / math.log(kc)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -104,10 +112,38 @@ def fd_eval_loop(x, kc, mc, a, bridge_code, cap):
     else:
         y = mc * a + (w - lo) * ((a - mc * a) / (a - lo))
     out = np.sign(x).ravel() * y * np.power(mc, e.astype(np.float64))
-    out[zero] = 0.0
-    out[stuck_high] = np.nan
-    out[stuck_low] = np.nan
+    out[v == 0.0] = 0.0
+    out[stuck] = np.nan
     return out.reshape(x.shape)
+
+
+def seam_clipped(x, kc, mc, a, bridge_code, cap):
+    """fd_eval_loop with |h| raised to at least top(e+1) = bridge(a)*mc**(e+1),
+    the top of the next interval out: the seam value at the foot of the
+    interval of e, below which the loop's roundings can let h fall."""
+    x = np.asarray(x, dtype=np.float64)
+    ref = fd_eval_loop(x, kc, mc, a, bridge_code, cap)
+    _, e, _ = loop_exponents(np.abs(x), kc, a, cap)
+    lo = kc * a
+    top = a if bridge_code == K.BRIDGE_POWER else mc * a + (a - lo) * ((a - mc * a) / (a - lo))
+    floor = top * np.power(mc, e + 1.0)
+    return np.where((np.abs(ref) < floor) & (x != 0.0), np.sign(x) * floor, ref)
+
+
+def fd_exact(x, kc, mc, a):
+    """(h(x), e) of the linear bridge in exact rational arithmetic."""
+    X, Kc, Mc, A = (Fraction(abs(x)), Fraction(kc), Fraction(mc), Fraction(a))
+    e = math.floor(math.log(abs(x) / a) / math.log(kc))
+    while X > A * Kc**e:
+        e -= 1
+    while X < A * Kc ** (e + 1):
+        e += 1
+    y = Mc * A + (X / Kc**e - Kc * A) * (A - Mc * A) / (A - Kc * A)
+    return (y if x > 0 else -y) * Mc**e, e
+
+
+def ulps_from(got, exact):
+    return float(abs(Fraction(got) - exact) / Fraction(math.ulp(float(exact))))
 
 
 CATALOG = [
@@ -174,12 +210,21 @@ def fd_points(kc, a, seed, depth=400, size=300):
     return np.concatenate([deep, ends, FD_SPECIALS])
 
 
-def assert_fd_equal(xs, kc, mc, a, bridge, cap):
+def assert_fd_walked_equal(xs, kc, mc, a, bridge, cap):
+    """fd_eval has the NaNs of the checked loop at this cap, but where a
+    subnormal orbit of the loop rounds back to itself and never settles, and
+    the loop's bits, up to the seam clip, on every entry that the loop
+    settles within _CHECKED steps."""
     with np.errstate(over="ignore"):
-        ref = fd_eval_loop(xs, kc, mc, a, bridge, cap)
+        want = seam_clipped(xs, kc, mc, a, bridge, cap)
+        walked = ~np.isnan(fd_eval_loop(xs, kc, mc, a, bridge, K._CHECKED - 1))
+        v = np.abs(xs)
+        stuck = (v != 0.0) & (v / kc == v)  # an outward step rounds back
         got = K.fd_eval(xs, kc, mc, a, bridge, cap)
     assert got.dtype == np.float64 and got.shape == xs.shape
-    assert got.tobytes() == ref.tobytes(), (kc, mc, a, bridge, cap)
+    assert (np.isnan(got) == np.isnan(want))[~stuck].all(), (kc, mc, a, bridge, cap)
+    assert got[walked].tobytes() == want[walked].tobytes(), (kc, mc, a, bridge, cap)
+    return got
 
 
 @pytest.mark.parametrize("bridge", [K.BRIDGE_LINEAR, K.BRIDGE_POWER])
@@ -187,10 +232,59 @@ def assert_fd_equal(xs, kc, mc, a, bridge, cap):
 @pytest.mark.parametrize("kc, mc", FD_SLOPES)
 def test_fd_eval_bit_identical_to_loop(kc, mc, a, bridge):
     xs = fd_points(kc, a, seed=len(FD_SLOPES) * FD_ANCHORS.index(a) + FD_SLOPES.index((kc, mc)))
-    # caps 0-3, caps that end inside the blind steps of the deep entries, and
-    # caps past every finite walk
+    # caps 0-3, caps that end among the entries that jump, and caps past
+    # every finite orbit; the jumped entries are checked against the exact
+    # reference below
     for cap in [0, 1, 2, 3, 7, 60, 250, 1000]:
-        assert_fd_equal(xs, kc, mc, a, bridge, cap)
+        assert_fd_walked_equal(xs, kc, mc, a, bridge, cap)
+    # the seam clip moves only a few of the loop's values, by an ulp or two
+    with np.errstate(over="ignore"):
+        ref = fd_eval_loop(xs, kc, mc, a, bridge, K._CHECKED - 1)
+        clipped = seam_clipped(xs, kc, mc, a, bridge, K._CHECKED - 1)
+    moved = clipped.view(np.int64) != ref.view(np.int64)
+    assert moved.sum() <= 3
+    assert (np.abs(clipped - ref)[moved] <= 2 * np.spacing(np.abs(ref[moved]))).all()
+
+
+# kc = 2**-j: every checked step and every power of kc is exact, so the jump
+# lands on the loop's exponent and w at any depth, the seams a*kc**j included
+@pytest.mark.parametrize("bridge", [K.BRIDGE_LINEAR, K.BRIDGE_POWER])
+@pytest.mark.parametrize("a", [1.0, 1.3])
+@pytest.mark.parametrize("kc, mc", [(0.5, 0.25), (0.5, 0.73), (0.25, 0.9)])
+def test_fd_eval_power_of_two_slope_matches_loop_at_any_depth(kc, mc, a, bridge):
+    rng = np.random.default_rng(17)
+    j = rng.integers(-400, 401, 300).astype(float)  # mc**e stays a normal float
+    deep = rng.choice([-1.0, 1.0], 300) * rng.uniform(kc, 1.0, 300) * a * kc**-j
+    seams = a * kc ** np.arange(-60.0, 61.0)
+    xs = np.concatenate([deep, seams, np.nextafter(seams, 0.0), np.nextafter(seams, np.inf)])
+    with np.errstate(over="ignore"):
+        want = seam_clipped(xs, kc, mc, a, bridge, 10_000)
+    assert K.fd_eval(xs, kc, mc, a, bridge, None).tobytes() == want.tobytes()
+
+
+EXACT_SLOPES = [(0.41, 0.73), (0.9, 0.5), (0.3, 0.6), (0.999, 0.998), (0.05, 0.2), (0.95, 0.3)]
+
+
+@pytest.mark.parametrize("a", [1.0, 1.3])
+@pytest.mark.parametrize("kc, mc", EXACT_SLOPES)
+def test_fd_eval_deep_entries_near_exact_reference(kc, mc, a):
+    # entries 9 to 400 steps out, with |h| within 1e+-250. The jump rounds w
+    # two or three times, where the loop rounds it once per step; the linear
+    # bridge magnifies a relative error in w by up to
+    # amp = kc*(1 - mc) / ((1 - kc)*mc), at w = kc*a. Over six anchors and
+    # 900 points per slope pair the largest error was 1.44*(2 + amp) ulp.
+    rng = np.random.default_rng(23)
+    jmax = int(250 * math.log(10) / max(-math.log(kc), -math.log(mc)))
+    j = rng.integers(K._CHECKED + 1, min(jmax, 400), 60) * rng.choice([-1, 1], 60)
+    xs = rng.choice([-1.0, 1.0], 60) * rng.uniform(kc, 1.0, 60) * a * kc ** -j.astype(float)
+    got = K.fd_eval(xs, kc, mc, a, K.BRIDGE_LINEAR, None)
+    loop = fd_eval_loop(xs, kc, mc, a, K.BRIDGE_LINEAR, 10_000)
+    exact = [fd_exact(x, kc, mc, a)[0] for x in xs]
+    err = np.array([ulps_from(g, ex) for g, ex in zip(got, exact)])
+    err_loop = np.array([ulps_from(r, ex) for r, ex in zip(loop, exact)])
+    amp = kc * (1 - mc) / ((1 - kc) * mc)
+    assert err.max() <= 2 * (2 + amp)
+    assert err.max() <= err_loop.max()
 
 
 @pytest.mark.parametrize("bridge", [K.BRIDGE_LINEAR, K.BRIDGE_POWER])
@@ -205,54 +299,35 @@ def test_fd_eval_caps_near_step_counts(kc, mc, bridge):
         for cap in range(steps - 4, steps + 2):
             got = K.fd_eval(np.array([x, 0.5 * a]), kc, mc, a, bridge, cap)
             assert np.isnan(got[0]) == (steps > cap + 1)
-        assert_fd_equal(xs, kc, mc, a, bridge, steps - 1)
-        assert_fd_equal(xs, kc, mc, a, bridge, steps - 2)
+    for cap in (steps - 2, steps - 1):
+        with np.errstate(over="ignore"):
+            got = assert_fd_walked_equal(xs, kc, mc, a, bridge, cap)
+            ref = fd_eval_loop(xs, kc, mc, a, bridge, cap)
+        ok = np.isfinite(ref)
+        assert got[ok] == pytest.approx(ref[ok], rel=1e-9)
 
 
 @pytest.mark.parametrize("kc", [0.9, 0.99])
 @pytest.mark.parametrize("x", [1e-310, 5e-320])
 def test_fd_eval_caps_near_step_counts_subnormal(x, kc):
-    # a subnormal orbit rounds by more than a normal one; the walk must not
-    # drop it as an overrun when a cap near its step count lets it settle
-    a, mc, bridge = 1.3, 0.37, K.BRIDGE_LINEAR
-    n, _ = locate_fundamental_exponent(x, kc, a, cap=10**6)
-    steps = abs(n)
+    # a subnormal orbit rounds by more than a normal one in the checked loop;
+    # the jump takes the exponent of the exact orbit, and the cap turns the
+    # value to NaN past it. With the power-law bridge h = a*(x/a)**alpha.
+    a, mc, bridge = 1.3, 0.37, K.BRIDGE_POWER
+    alpha = math.log(mc) / math.log(kc)
+    t = math.log(x / a) / math.log(kc)
+    assert abs(t - round(t)) > 1e-6
+    steps = math.ceil(t) - 1  # x lies in [a*kc**(steps+1), a*kc**steps)
     xs = np.array([x, -x, 0.5 * a])
-    # the loop's output at any cap: this, with nan for x and -x below steps - 1
-    settled = fd_eval_loop(xs, kc, mc, a, bridge, steps - 1)
-    assert np.isfinite(settled).all()
+    settled = K.fd_eval(xs, kc, mc, a, bridge, None)
+    assert settled[0] == pytest.approx(a * (x / a) ** alpha, rel=1e-12)
+    assert settled[1] == -settled[0]
     for cap in range(steps - 4, steps + 2):
         got = K.fd_eval(xs, kc, mc, a, bridge, cap)
         want = settled.copy()
         if steps > cap + 1:
             want[:2] = np.nan
         assert got.tobytes() == want.tobytes(), cap
-
-
-def test_fd_eval_restarts_an_entry_that_settles_within_its_blind_steps(monkeypatch):
-    # with a subnormal anchor and kc near 1, the inward orbit of x rounds down
-    # faster than its log estimate: it settles within the blind steps it is
-    # given after the checked ones, so it restarts from where those left it
-    kc, a, x = 0.9991514266763675, 3.157e-321, 3.31e-321
-    calls = []
-    blind_steps = K._blind_steps
-
-    def spy(ww, *args):
-        start = ww.copy()
-        taken = blind_steps(ww, *args)
-        calls.append((start, ww.copy(), taken))
-        return taken
-
-    monkeypatch.setattr(K, "_blind_steps", spy)
-    for bridge in (K.BRIDGE_LINEAR, K.BRIDGE_POWER):
-        for cap in (30, 40, 200):
-            assert_fd_equal(np.array([x, -x]), kc, 0.25, a, bridge, cap)
-            start, after, taken = calls.pop()
-            estimate = (np.log(start) - math.log(a)) / -math.log(kc)
-            assert (np.ceil(estimate) - 2 >= 1).all()
-            assert (taken == 0).all() and after.tobytes() == start.tobytes()
-        # an entry 817 steps out walks blind past the restarted ones
-        assert_fd_equal(np.array([x, 2 * a, -x]), kc, 0.25, a, bridge, 1000)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
