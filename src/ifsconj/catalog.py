@@ -27,6 +27,22 @@ SHAPE_RATIONAL = "rational"
 SMOOTH_RATIONAL_QUADRATIC = "rational-quadratic"
 
 
+def _bump(shape: str, amplitude, x):
+    if shape == SHAPE_SINE:
+        return amplitude * np.sin(x)
+    return amplitude * x / (1.0 + x * x)
+
+
+def _value(kind: str, shape: str | None, k, c, x):
+    """k*x plus the nonlinear term of the kind; k and c are a map's scalars,
+    or the (rows, 1) columns of a MapStack."""
+    if kind == KIND_LINEAR:
+        return k * np.asarray(x) if np.ndim(x) else k * x
+    if kind == KIND_LIPSCHITZ:
+        return k * x + _bump(shape, c, x)
+    return k * x + c * x * x / (1.0 + x * x)
+
+
 @dataclass(frozen=True)
 class Perturbation:
     """A Lipschitz bump phi with phi(0) = 0.
@@ -51,9 +67,7 @@ class Perturbation:
             )
 
     def __call__(self, x):
-        if self.shape == SHAPE_SINE:
-            return self.amplitude * np.sin(x)
-        return self.amplitude * x / (1.0 + x * x)
+        return _bump(self.shape, self.amplitude, x)
 
     def derivative(self, x):
         if self.shape == SHAPE_SINE:
@@ -86,16 +100,21 @@ class ScalarMap:
             raise ValueError(f"unknown smooth catalog entry {self.name!r}")
         if self.domain is not None and not self.domain[0] < self.domain[1]:
             raise ValueError("domain interval is degenerate")
+        # (bump shape, coefficient) of the term added to k*x, read on every
+        # call: the bump's shape and amplitude, or (None, c) for the smooth
+        # and linear kinds
+        if self.kind == KIND_LIPSCHITZ:
+            term = (self.perturbation.shape, self.perturbation.amplitude)
+        else:
+            term = (None, self.c)
+        object.__setattr__(self, "_term", term)
 
     # -- evaluation -------------------------------------------------------
 
     def __call__(self, x):
         self._check_domain(x)
-        if self.kind == KIND_LINEAR:
-            return self.k * np.asarray(x) if np.ndim(x) else self.k * x
-        if self.kind == KIND_LIPSCHITZ:
-            return self.k * x + self.perturbation(x)
-        return self.k * x + self.c * x * x / (1.0 + x * x)
+        shape, c = self._term
+        return _value(self.kind, shape, self.k, c, x)
 
     def derivative(self, x):
         """Exact analytic derivative at x."""
@@ -135,7 +154,13 @@ class ScalarMap:
 
     @property
     def lipschitz_budget(self) -> float:
-        """Declared bound usable in contraction hypotheses: |k| + eps."""
+        """Declared bound usable in contraction hypotheses: |k| + eps.
+
+        eps is the bump's declared bound, or for the smooth map the largest
+        slope of c*x^2/(1+x^2), |c|*3*sqrt(3)/8 at x = +-1/sqrt(3).
+        """
+        if self.kind == KIND_SMOOTH:
+            return abs(self.k) + abs(self.c) * 3.0 * math.sqrt(3.0) / 8.0
         eps = self.perturbation.lipschitz if self.perturbation is not None else 0.0
         return abs(self.k) + eps
 
@@ -163,6 +188,31 @@ class ScalarMap:
             )
             return (code, self.k, self.perturbation.amplitude, 0.0)
         return (_kernels.MAP_SMOOTH_RQ, self.k, self.c, 0.0)
+
+
+class MapStack:
+    """Catalog maps of one kind, bump shape and domain, evaluated row by row.
+
+    Called on a (rows, n) array, it maps row r through maps[r] with the
+    arithmetic of ScalarMap.__call__, so each row carries the bits its map
+    gives alone. A row evaluated outside the domain is marked in escaped
+    instead of raising DomainEscapeError, so the other rows go on.
+    """
+
+    def __init__(self, maps):
+        kinds = {(m.kind, m._term[0], m.domain) for m in maps}
+        if len(kinds) != 1:
+            raise ValueError("a map stack needs maps of one kind, bump shape and domain")
+        (self.kind, self.shape, self.domain), = kinds
+        self.k = np.array([[m.k] for m in maps])
+        self.c = np.array([[m._term[1]] for m in maps])
+        self.escaped = np.zeros(len(maps), dtype=bool)
+
+    def __call__(self, x):
+        if self.domain is not None:
+            lo, hi = self.domain
+            self.escaped |= np.any((x < lo) | (x > hi), axis=1)
+        return _value(self.kind, self.shape, self.k, self.c, x)
 
 
 def linear(k: float, domain=None) -> ScalarMap:

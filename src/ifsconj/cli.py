@@ -126,6 +126,15 @@ def _radius(args, doc: dict) -> float:
     return config.domain_radius(doc)
 
 
+def _count(args, doc: dict, default):
+    """The composition depth: --n-max, else the document's n, else default."""
+    if args.n_max is not None:
+        return config.bounded_count(args.n_max, "--n-max")
+    if "n" in doc:
+        return config.bounded_count(doc["n"], "document.n")
+    return default
+
+
 def _linear_slope(mp, name: str) -> float:
     if not isinstance(mp, ScalarMap) or not mp.is_linear:
         raise SchemaError(f"{name} must be a linear map for this subcommand", field=name)
@@ -156,6 +165,7 @@ def _build_and_verify(args):
         raise SchemaError("bridge must be 'linear' or 'power-law'", field="bridge")
     anchor = float(doc.get("anchor", 1.0))
     radius = _radius(args, doc)
+    config.bounded_count(args.grid, "--grid")
     resolved = {
         "f": doc["f"],
         "g": doc["g"],
@@ -220,7 +230,7 @@ def _run_orbit(args):
     doc, F, sigma, radius = _scalar_ifs_doc(
         args, extra_required={"x0": float}, extra_optional={"n": int}
     )
-    n = args.n_max if args.n_max is not None else doc.get("n")
+    n = _count(args, doc, None)
     if n is None:
         raise SchemaError("orbit needs document field 'n' or flag --n-max", field="n")
     x0 = config.number_field(doc, "document", "x0")
@@ -256,7 +266,7 @@ def _run_classify(args):
     doc, F, sigma, radius = _scalar_ifs_doc(
         args, extra_required={"x0": float, "epsilon": float}
     )
-    n_max = args.n_max if args.n_max is not None else 400
+    n_max = config.bounded_count(args.n_max if args.n_max is not None else 400, "--n-max")
     x0 = config.number_field(doc, "document", "x0")
     eps = config.number_field(doc, "document", "epsilon")
     rep = classify_sequence_fate(F, sigma, n_max, x0, eps)
@@ -300,7 +310,7 @@ def _run_multidim(args):
     m = config.int_field(doc, "document", "dimension")
     base = config.parse_diagonal_maps(doc["maps"], m, "maps")
     sigma = config.parse_sequence(doc["sequence"], alphabet=tuple(range(1, len(base) + 1)))
-    n = args.n_max if args.n_max is not None else doc.get("n", 5)
+    n = _count(args, doc, 5)
     radius = _radius(args, doc)
     resolved = {"input": doc, "n": n, "radius": radius, "seed": args.seed}
 
@@ -368,6 +378,7 @@ def _run_distance(args):
     F = IfsDescriptor(tuple(config.parse_maps(doc["maps"])))
     G = IfsDescriptor(tuple(config.parse_maps(doc["g_maps"], "g_maps")))
     radius = _radius(args, doc)
+    config.bounded_count(args.grid, "--grid")
     rep = ifs_distance(F, G, args.level, args.grid, radius)
     report = {
         "level": args.level,
@@ -419,6 +430,7 @@ def _run_audit(args):
 
 def _run_probe(args):
     doc, F, _, radius = _scalar_ifs_doc(args, need_sequence=False)
+    config.bounded_count(args.trials, "--trials")
     rep = perturbation_probe(F, args.delta, args.trials, args.seed or 0, radius)
     report = {
         "delta": rep.delta,
@@ -447,7 +459,9 @@ def _run_attractor(args):
     )
     allow_affine = bool(doc.get("allow_affine", False))
     maps = config.parse_maps(doc["maps"], allow_affine=allow_affine)
-    iterations = config.int_field(doc, "document", "iterations")
+    iterations = config.bounded_count(
+        config.int_field(doc, "document", "iterations"), "document.iterations"
+    )
     burn_in = config.int_field(doc, "document", "burn_in")
     x0 = config.number_field(doc, "document", "x0")
     seed = args.seed if args.seed is not None else doc.get("seed", 0)

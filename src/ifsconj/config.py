@@ -31,6 +31,18 @@ from .sequences import (
 )
 
 
+# the largest count a document field or a flag may give for n, --n-max,
+# --grid, iterations or --trials: each sizes arrays of that length
+MAX_COUNT = 1_000_000
+
+
+def bounded_count(value: int, field: str) -> int:
+    """value, or SchemaError naming field when it is above MAX_COUNT."""
+    if value > MAX_COUNT:
+        raise SchemaError(f"{field} must be at most {MAX_COUNT}", field=field)
+    return value
+
+
 def load_json(path: str):
     try:
         with open(path) as fh:

@@ -211,11 +211,12 @@ class DecayBoundResult:
 def decay_bound_check(
     F: IfsDescriptor, sigma: SymbolSequence, n: int, x: float
 ) -> DecayBoundResult:
-    """Check |F_sigma_n(x)| < k**n |x| with k = max_i (|k_i| + eps_i).
+    """Check |F_sigma_n(x)| <= k**n |x| with k = max_i (|k_i| + eps_i).
 
     Maps must be linear or linear-plus-Lipschitz with |k_i| + eps_i < 1 and
-    all linear coefficients of one sign; the strict inequality is tested
-    with a 1e-12 cushion so the x = 0 equality counts as holding.
+    all linear coefficients of one sign. Linear maps at the budget meet the
+    bound with equality, so the check allows the rounding of the n steps
+    and the power (8 ulp a step, relative) and an absolute 1e-12.
     """
     budgets = []
     signs = set()
@@ -240,7 +241,8 @@ def decay_bound_check(
     traj = orbit_trajectory(F, sigma, n, x)
     value = abs(float(traj[-1]))
     bound = k**n * abs(x)
-    return DecayBoundResult(value, bound, value < bound + 1e-12, k)
+    slack = 8 * (n + 1) * np.finfo(float).eps
+    return DecayBoundResult(value, bound, value <= bound * (1.0 + slack) + 1e-12, k)
 
 
 @dataclass(frozen=True, eq=False)

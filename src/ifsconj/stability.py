@@ -7,6 +7,9 @@ the working interval when the target lies beyond the map's image of it, so
 the inverse gap matches the global inverse of the (strictly monotone)
 catalog maps. Each call computes the grid data of every map it compares
 once (values, inverse, derivative) and reduces pairs from those profiles.
+The perturbation probe profiles the candidates of its pending trials
+together: map i of every candidate is evaluated and inverted as one row of
+a catalog.MapStack, bit for bit as alone.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .catalog import KIND_LIPSCHITZ, Perturbation, ScalarMap
+from .catalog import KIND_LIPSCHITZ, MapStack, Perturbation, ScalarMap
 from .conjugacy import same_interval_test, verify_conjugacy, weak_conjugacy_linear
 from .defaults import BORDERLINE_TOL, DEFAULT_RADIUS, HYPERBOLIC_TOL
 from .errors import (
@@ -25,7 +28,7 @@ from .errors import (
     IfsConjError,
     InvertibilityError,
 )
-from .ifs import IfsDescriptor, effective_slope
+from .ifs import IfsDescriptor
 from .linearize import linear_part
 from .rootfind import monotone_inverse_batch
 from .sequences import ExplicitSequence
@@ -289,6 +292,72 @@ def _jitter_map(f: ScalarMap, scale: float, rng) -> ScalarMap:
     return g
 
 
+# most trials whose candidates are profiled together. It bounds the (rows,
+# grid) stacks of a probe with many trials; on 257-point grids 32 rows take
+# no longer per row than 50, and about half the memory at peak
+_PROBE_ROWS = 32
+
+
+def _candidate_profiles(cands, radius: float) -> list[list[_MapProfile] | None]:
+    """_profiles of every candidate family, or None where _profiles would
+    raise: a map not strictly monotone, or a value taken outside a map's
+    domain. Map i of all the monotone candidates is evaluated and inverted
+    as one row stack."""
+    out = [None] * len(cands)
+    rows = []  # the monotone candidates, one stack row each
+    for c, maps in enumerate(cands):
+        try:
+            for f in maps:
+                _check_monotone(f, radius)
+        except InvertibilityError:
+            continue
+        rows.append(c)
+        out[c] = []
+    if not rows:
+        return out
+    xs = np.linspace(-radius, radius, _PROBE_GRID)
+    grid = np.broadcast_to(xs, (len(rows), xs.size))
+    escaped = np.zeros(len(rows), dtype=bool)
+    for i in range(len(cands[0])):
+        stack = MapStack([cands[c][i] for c in rows])
+        values = stack(grid)
+        inverse, valid = monotone_inverse_batch(stack, grid, -radius, radius)
+        escaped |= stack.escaped
+        for r, c in enumerate(rows):
+            derivative = np.asarray(cands[c][i].derivative(xs))
+            out[c].append(_MapProfile(values[r], inverse[r], valid[r], derivative))
+    for r in np.flatnonzero(escaped):
+        out[rows[r]] = None
+    return out
+
+
+def _weakly_conjugate(f_lin: IfsDescriptor, G: IfsDescriptor, rng, radius, residual_tol) -> bool:
+    """Whether the linear parts of F and G pass the weak-conjugacy check
+    along a sequence drawn from rng, for n in {1, 5, 10}."""
+    try:
+        g_lin = linear_part(G).linear_ifs
+        alphabet = f_lin.alphabet
+        sigma = ExplicitSequence(
+            tuple(rng.integers(1, len(alphabet) + 1, size=10)), alphabet
+        )
+        for n in (1, 5, 10):
+            h = weak_conjugacy_linear(f_lin, g_lin, sigma, n)
+            # composites of linear maps are linear; h holds their slopes
+            rep = verify_conjugacy(
+                lambda x: h.k * x,
+                lambda x: h.m * x,
+                h,
+                grid_size=257,
+                tolerance=residual_tol,
+                radius=radius,
+            )
+            if not rep.passed:
+                return False
+    except IfsConjError:
+        return False
+    return True
+
+
 def perturbation_probe(
     F: IfsDescriptor,
     delta: float,
@@ -299,13 +368,24 @@ def perturbation_probe(
 ) -> ProbeReport:
     """Sample nearby IFSs and report how many stay weakly conjugate to F.
 
-    Each trial jitters slopes (and bump amplitudes) until the index-paired
-    C1 distance drops below delta, then checks interval feasibility and the
-    conjugacy residual of the linear parts along a pinned random sequence
-    for n in {1, 5, 10}. Trials whose perturbation crosses an interval
-    boundary count as failures, not generation errors. F itself must have
-    hyperbolic fixed points and all its maps in one slope interval, else
-    HypothesisError.
+    Each trial jitters slopes (and bump amplitudes) with its own generator,
+    seeded by (seed, trial), until the index-paired C1 distance drops below
+    delta, then checks interval feasibility and the conjugacy residual of
+    the linear parts along a pinned random sequence for n in {1, 5, 10}.
+    Trials whose perturbation crosses an interval boundary count as
+    failures, not generation errors. A candidate with a map that is not
+    strictly monotone, or that is evaluated outside its domain, is not
+    admissible and is redrawn.
+
+    The trials still without an admissible candidate (up to 32 at a time)
+    draw one candidate each per round, and map i of those candidates is
+    inverted as one row stack; every trial draws from its generator in the
+    order a trial-by-trial loop would, so the counts do not depend on the
+    batching. The budget is 100 attempts per trial over the whole probe:
+    GenerationError before a round that could pass it.
+
+    F itself must have hyperbolic fixed points and all its maps in one
+    slope interval, else HypothesisError.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -331,47 +411,25 @@ def perturbation_probe(
     except IfsConjError:
         # no candidate can be compared with F, so every attempt would fail
         raise exhausted from None
+    f_lin = linear_part(F).linear_ifs
     attempts = 0
     passes = 0
-    f_lin = linear_part(F).linear_ifs
-    for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
-        G = None
-        while G is None:
-            if attempts >= budget:
-                raise exhausted
-            attempts += 1
-            cand = IfsDescriptor(tuple(_jitter_map(m, scale, rng) for m in F.maps))
-            try:
-                g_profiles = _profiles(cand.maps, _PROBE_GRID, radius)
-                if _paired_rho1(f_profiles, g_profiles) < delta:
-                    G = cand
-            except IfsConjError:
-                continue
-        try:
-            g_lin = linear_part(G).linear_ifs
-            alphabet = f_lin.alphabet
-            sigma = ExplicitSequence(
-                tuple(rng.integers(1, len(alphabet) + 1, size=10)), alphabet
-            )
-            ok = True
-            for n in (1, 5, 10):
-                h = weak_conjugacy_linear(f_lin, g_lin, sigma, n)
-                # composites of linear maps are linear with the product slopes
-                ks = effective_slope(f_lin, sigma, n)
-                ms = effective_slope(g_lin, sigma, n)
-                rep = verify_conjugacy(
-                    lambda x, _k=ks: _k * x,
-                    lambda x, _m=ms: _m * x,
-                    h,
-                    grid_size=257,
-                    tolerance=residual_tol,
-                    radius=radius,
-                )
-                if not rep.passed:
-                    ok = False
-                    break
-        except IfsConjError:
-            ok = False
-        passes += int(ok)
+    started = 0
+    pending = []  # generators of the started trials without an admitted candidate
+    while pending or started < trials:
+        while started < trials and len(pending) < _PROBE_ROWS:
+            pending.append(np.random.default_rng(np.random.SeedSequence((seed, started))))
+            started += 1
+        # a trial-by-trial loop would run out within this round
+        if attempts + len(pending) > budget:
+            raise exhausted
+        attempts += len(pending)
+        cands = [tuple(_jitter_map(m, scale, rng) for m in F.maps) for rng in pending]
+        carried = []
+        for rng, maps, g_profiles in zip(pending, cands, _candidate_profiles(cands, radius)):
+            if g_profiles is not None and _paired_rho1(f_profiles, g_profiles) < delta:
+                passes += _weakly_conjugate(f_lin, IfsDescriptor(maps), rng, radius, residual_tol)
+            else:
+                carried.append(rng)
+        pending = carried
     return ProbeReport(delta, trials, passes, attempts, seed)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifsconj import (
     derivative_at,
@@ -12,7 +14,7 @@ from ifsconj import (
     sine_bump,
     smooth,
 )
-from ifsconj.catalog import Perturbation
+from ifsconj.catalog import MapStack, Perturbation
 from ifsconj.errors import DomainEscapeError
 
 
@@ -101,3 +103,87 @@ def test_maps_vectorize():
     vals = f(xs)
     assert vals.shape == xs.shape
     assert vals[4] == 0.0
+
+
+def catalog_map(kind, k, c):
+    if kind == "linear":
+        return linear(k)
+    if kind == "smooth":
+        return smooth(k, c)
+    bump = sine_bump(c) if kind == "sine" else rational_bump(c)
+    return linear_plus_lipschitz(k, bump)
+
+
+KINDS = ("linear", "sine", "rational", "smooth")
+coefficients = st.tuples(st.floats(-5.0, 5.0), st.floats(-2.0, 2.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    kind=st.sampled_from(KINDS),
+    params=st.lists(coefficients, min_size=1, max_size=4),
+    width=st.sampled_from([1.0, 10.0, 1e6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_map_stack_rows_match_each_map(kind, params, width, seed):
+    maps = [catalog_map(kind, k, c) for k, c in params]
+    x = np.random.default_rng(seed).uniform(-width, width, (len(maps), 65))
+    stack = MapStack(maps)
+    got = stack(x)
+    for f, row, got_row in zip(maps, x, got):
+        assert got_row.tobytes() == f(row).tobytes()
+    assert not stack.escaped.any()
+
+
+def test_map_stack_marks_rows_that_leave_their_domain():
+    maps = [linear(k, (-2.0, 2.0)) for k in (0.5, 0.6, 0.7)]
+    stack = MapStack(maps)
+    x = np.array([[1.0, -1.5], [2.5, -2.0], [-3.0, 9.0]])
+    np.testing.assert_array_equal(stack(x), np.array([[0.5], [0.6], [0.7]]) * x)
+    assert stack.escaped.tolist() == [False, True, True]
+    for f, row, escaped in zip(maps, x, stack.escaped):
+        if escaped:
+            with pytest.raises(DomainEscapeError):
+                f(row)
+        else:
+            f(row)
+
+
+def test_map_stack_needs_one_kind_shape_and_domain():
+    for maps in ([linear(0.5), smooth(0.5, 0.1)],
+                 [linear_plus_lipschitz(0.5, sine_bump(0.1)),
+                  linear_plus_lipschitz(0.5, rational_bump(0.1))],
+                 [linear(0.5), linear(0.6, (-1.0, 1.0))]):
+        with pytest.raises(ValueError, match="one kind"):
+            MapStack(maps)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    kind=st.sampled_from(KINDS),
+    k=st.floats(-3.0, 3.0),
+    c=st.floats(-1.0, 1.0),
+    slack=st.floats(0.0, 1.0),
+    lo=st.floats(-20.0, 20.0),
+    width=st.floats(0.01, 40.0),
+    samples=st.integers(2, 2048),
+)
+def test_estimate_lipschitz_within_budget(kind, k, c, slack, lo, width, samples):
+    if kind in ("sine", "rational"):
+        bump = Perturbation(kind, c, abs(c) + slack)
+        f = linear_plus_lipschitz(k, bump)
+    else:
+        f = catalog_map(kind, k, c)
+    hi = lo + width
+    est = estimate_lipschitz(f, (lo, hi), samples)
+    # rounding of f and of the grid: a few ulp of |f| <= budget*|x| over a
+    # grid step of width/(samples - 1)
+    rounding = 8 * np.finfo(float).eps * (1 + max(abs(lo), abs(hi)) * samples / width)
+    assert est <= f.lipschitz_budget * (1 + rounding)
+
+
+def test_smooth_budget_covers_its_steepest_slope():
+    f = smooth(0.5, -0.2)
+    steepest = max(abs(f.derivative(s / np.sqrt(3.0))) for s in (1.0, -1.0))
+    assert f.lipschitz_budget == pytest.approx(0.5 + 0.2 * 3 * np.sqrt(3) / 8)
+    assert steepest <= f.lipschitz_budget <= steepest + 1e-15

@@ -4,11 +4,14 @@ import hashlib
 import json
 import os
 import stat
+import tracemalloc
 
 import pytest
 
+import ifsconj.cli as cli
 from ifsconj import __version__
 from ifsconj.cli import main
+from ifsconj.config import MAX_COUNT
 
 
 def write(tmp_path, name, payload):
@@ -638,3 +641,42 @@ def report_digest(tmp_path, case, fmt):
 @pytest.mark.parametrize("case, fmt", list(PINNED_REPORTS), ids="-".join)
 def test_report_bytes_pinned(tmp_path, case, fmt):
     assert report_digest(tmp_path, case, fmt) == PINNED_REPORTS[case, fmt]
+
+
+# every size a document or a flag gives is refused above MAX_COUNT before the
+# library is called: "n": 1e9 in an orbit document was killed for memory
+HUGE = 10**9
+OVERSIZED = {
+    "orbit-n": ("orbit", {**ORBIT_DOC, "n": HUGE}, [], "document.n"),
+    "orbit-n-max": ("orbit", ORBIT_DOC, ["--n-max", str(HUGE)], "--n-max"),
+    "classify-n-max": ("classify", CLASSIFY_DOC, ["--n-max", str(HUGE)], "--n-max"),
+    "multidim-n": ("multidim", {**COMPONENTWISE_DOC, "n": HUGE}, [], "document.n"),
+    "multidim-n-max": ("multidim", SIMILARITY_DOC, ["--n-max", str(HUGE)], "--n-max"),
+    "conjugacy-grid": ("conjugacy", CONJ_DOC, ["--grid", str(HUGE)], "--grid"),
+    "verify-grid": ("verify", CONJ_DOC, ["--grid", str(HUGE)], "--grid"),
+    "distance-grid": ("distance", DISTANCE_DOC, ["--grid", str(HUGE)], "--grid"),
+    "probe-trials": ("probe", PROBE_DOC, ["--trials", str(HUGE)], "--trials"),
+    "attractor-iterations": ("attractor", {**ATTRACTOR_DOC, "iterations": HUGE}, [],
+                             "document.iterations"),
+}
+LIBRARY_CALLS = ("orbit_trajectory", "effective_slope", "classify_sequence_fate",
+                 "componentwise_conjugacy", "componentwise_residual", "similarity_conjugacy",
+                 "build_linear_conjugacy", "verify_conjugacy", "ifs_distance",
+                 "perturbation_probe", "chaos_game")
+
+
+@pytest.mark.parametrize("case", list(OVERSIZED))
+def test_oversized_counts_exit_1_before_any_allocation(tmp_path, capsys, monkeypatch, case):
+    command, doc, flags, field = OVERSIZED[case]
+    for name in LIBRARY_CALLS:
+        monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: pytest.fail(f"{_name} ran"))
+    inp = write(tmp_path, "doc.json", doc)
+    tracemalloc.start()
+    try:
+        code = main([command, "--input", inp, *flags])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().err == f"ifsconj {command}: {field} must be at most {MAX_COUNT}\n"
+    assert peak < 1 << 20

@@ -224,6 +224,43 @@ def test_decay_bound_hypothesis_gate():
         decay_bound_check(mixed_signs, ExplicitSequence((1, 2)), 2, 1.0)
 
 
+def _decay_map(kind, k, bound, amplitude):
+    if kind == "linear":
+        return linear(k)
+    bump = sine_bump if kind == "sine" else rational_bump
+    return linear_plus_lipschitz(k, bump(amplitude * bound, bound))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    sign=st.sampled_from([1.0, -1.0]),
+    params=st.lists(
+        st.tuples(st.sampled_from(["linear", "sine", "rational"]), st.floats(0.01, 0.98),
+                  st.floats(0.0, 1.0), st.floats(-1.0, 1.0)),
+        min_size=1, max_size=3),
+    symbols=st.lists(st.integers(1, 3), min_size=1, max_size=80),
+    x=st.one_of(st.floats(-10.0, 10.0), st.floats(-1e300, 1e300)),
+)
+def test_decay_bound_property(sign, params, symbols, x):
+    # |k| + eps < 1 with eps a share of the room left below 1
+    maps = tuple(_decay_map(kind, sign * k, share * (0.99 - k), amplitude)
+                 for kind, k, share, amplitude in params)
+    F = IfsDescriptor(maps)
+    syms = tuple(min(s, len(maps)) for s in symbols)
+    res = decay_bound_check(F, ExplicitSequence(syms, alphabet=F.alphabet), len(syms), x)
+    assert res.contraction_factor == max(m.lipschitz_budget for m in maps)
+    assert res.holds
+
+
+def test_decay_bound_holds_at_equality():
+    # a linear map meets the bound with equality; its rounding once lay
+    # above the former absolute 1e-12 cushion
+    F = IfsDescriptor((linear(0.21669718395182852),))
+    res = decay_bound_check(F, ExplicitSequence((1, 1), alphabet=(1,)), 2, 726357.8446997732)
+    assert res.orbit_value == res.bound
+    assert res.holds
+
+
 def test_decay_bound_random_sweep():
     rng = np.random.default_rng(123)
     for _ in range(300):

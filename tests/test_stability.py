@@ -1,6 +1,7 @@
 """Map distances, cross-pair family distance, hyperbolicity audit, probe."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,13 +22,18 @@ from ifsconj import (
     sine_bump,
     smooth,
 )
+from ifsconj.conjugacy import verify_conjugacy, weak_conjugacy_linear
 from ifsconj.errors import (
     ContinuumOfFixedPointsError,
     GenerationError,
     HypothesisError,
+    IfsConjError,
     InvertibilityError,
 )
+from ifsconj.ifs import effective_slope
+from ifsconj.linearize import linear_part
 from ifsconj.rootfind import monotone_inverse_batch
+from ifsconj.sequences import ExplicitSequence
 
 
 def test_rho_zero_on_identical_maps():
@@ -368,3 +374,111 @@ def test_monotone_check_allows_isolated_zero_slope():
     f = linear_plus_lipschitz(0.3, sine_bump(0.3))
     assert f.derivative(math.pi) == 0.0
     compare_maps(f, linear(0.5))
+
+
+# -- the batched probe against the trial-by-trial loop ------------------------
+
+def perturbation_probe_reference(F, delta, trials, seed, radius=10.0, residual_tol=1e-8):
+    """The probe past its checks of F, as a trial-by-trial loop: one
+    candidate family profiled per attempt, and the composite slopes read
+    from effective_slope."""
+    kmin = min(abs(m.k) for m in F.maps)
+    scale = delta / (4.0 * (radius + radius / (kmin * kmin) + 2.0))
+    budget = 100 * trials
+    exhausted = GenerationError(
+        f"no admissible perturbation within delta={delta:g} after {budget} attempts"
+    )
+    try:
+        f_profiles = stab._profiles(F.maps, 257, radius)
+    except IfsConjError:
+        raise exhausted from None
+    attempts = passes = 0
+    f_lin = linear_part(F).linear_ifs
+    for t in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
+        G = None
+        while G is None:
+            if attempts >= budget:
+                raise exhausted
+            attempts += 1
+            cand = IfsDescriptor(tuple(stab._jitter_map(m, scale, rng) for m in F.maps))
+            try:
+                g_profiles = stab._profiles(cand.maps, 257, radius)
+                if stab._paired_rho1(f_profiles, g_profiles) < delta:
+                    G = cand
+            except IfsConjError:
+                continue
+        try:
+            g_lin = linear_part(G).linear_ifs
+            alphabet = f_lin.alphabet
+            sigma = ExplicitSequence(tuple(rng.integers(1, len(alphabet) + 1, size=10)), alphabet)
+            ok = True
+            for n in (1, 5, 10):
+                h = weak_conjugacy_linear(f_lin, g_lin, sigma, n)
+                ks = effective_slope(f_lin, sigma, n)
+                ms = effective_slope(g_lin, sigma, n)
+                rep = verify_conjugacy(lambda x, _k=ks: _k * x, lambda x, _m=ms: _m * x, h,
+                                       grid_size=257, tolerance=residual_tol, radius=radius)
+                if not rep.passed:
+                    ok = False
+                    break
+        except IfsConjError:
+            ok = False
+        passes += int(ok)
+    return stab.ProbeReport(delta, trials, passes, attempts, seed)
+
+
+def probe_outcome(probe, maps, delta, trials, seed):
+    """(passes, attempts), or the class and message of the error raised."""
+    try:
+        rep = probe(IfsDescriptor(maps), delta, trials, seed)
+    except IfsConjError as exc:
+        return type(exc).__name__, str(exc)
+    return rep.passes, rep.attempts
+
+
+# maps that leave their domain (-29, 29) when inverted on [-10, 10] with a
+# slope below 1: the bracket grows from 10 to 30
+_DOMAIN = (-29.0, 29.0)
+DOMAIN_MAPS = (linear(1.02, domain=_DOMAIN), smooth(1.5, 0.1, domain=_DOMAIN))
+
+PROBE_CASES = [pin[:4] for pin in PROBE_PINS] + [
+    # every candidate is refused as non-monotone: the budget runs out
+    ((linear(0.5), linear_plus_lipschitz(0.3, sine_bump(0.5))), 0.01, 3, 1),
+    # candidates with a slope below 1 leave the domain and are redrawn
+    (DOMAIN_MAPS[:1], 20.0, 10, 5),
+    (DOMAIN_MAPS, 5.0, 10, 5),
+    # more trials than one round profiles together
+    ((linear(0.998),), 0.5, 70, 11),
+    ((linear_plus_lipschitz(0.3, sine_bump(0.3)), SMOOTH), 0.01, 70, 2),
+]
+
+
+@pytest.mark.parametrize("maps, delta, trials, seed", PROBE_CASES)
+def test_probe_matches_trial_by_trial_loop(maps, delta, trials, seed):
+    assert (probe_outcome(perturbation_probe, maps, delta, trials, seed)
+            == probe_outcome(perturbation_probe_reference, maps, delta, trials, seed))
+
+
+def test_probe_redraws_candidates_that_leave_the_domain():
+    # the same family without domains admits the contractive candidates,
+    # which then fail the interval test
+    free = tuple(replace(f, domain=None) for f in DOMAIN_MAPS[:1])
+    with_domain = probe_outcome(perturbation_probe, DOMAIN_MAPS[:1], 20.0, 10, 5)
+    without = probe_outcome(perturbation_probe, free, 20.0, 10, 5)
+    assert with_domain[0] == 10 and with_domain[1] > 10
+    assert without[0] < 10 and without[1] == 10
+
+
+@pytest.mark.parametrize("every, seed, raises", [(40, 8, False), (150, 8, True), (150, 3, True)])
+def test_probe_budget_matches_trial_by_trial_loop(monkeypatch, every, seed, raises):
+    # admit a candidate on its own bits, about one in `every`, so both loops
+    # admit the same candidates whatever order they profile them in
+    def rare(pfs, pgs):
+        return 0.0 if int(pgs[0].derivative[0].view(np.int64)) % every == 0 else np.inf
+
+    monkeypatch.setattr(stab, "_paired_rho1", rare)
+    maps = (linear(0.5), linear(0.25))
+    got = probe_outcome(perturbation_probe, maps, 0.01, 3, seed)
+    assert got == probe_outcome(perturbation_probe_reference, maps, 0.01, 3, seed)
+    assert (got[0] == "GenerationError") == raises
