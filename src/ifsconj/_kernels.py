@@ -101,11 +101,18 @@ def orbit_chain_diag(diags, symbols, x0):
 # w = |x|*kc**-e clipped to [kc*a, a]. Clipping h into [top(e+1), top(e)],
 # top(e) the value at w = a, makes neighbouring intervals meet at one float,
 # so h never decreases between adjacent floats, at the seams included.
+# fd_eval_rows runs the same body on a stack of rows, each with its own core
+# slopes, held as one value per entry.
 # ---------------------------------------------------------------------------
 
 _CHECKED = 8  # checked steps before the entries still outside jump
 
 _TINY = np.finfo(np.float64).tiny  # smallest normal float
+
+
+def _at(s, idx):
+    """s[idx] for a per-entry array s; a scalar s applies to every entry."""
+    return s[idx] if isinstance(s, np.ndarray) else s
 
 
 def _scale(z, base, e):
@@ -120,8 +127,8 @@ def _scale(z, base, e):
     split = ~(p >= _TINY) | (p == math.inf)
     if split.any():
         half = np.floor(e[split] / 2)
-        zs = z[split] if np.ndim(z) else z
-        out[split] = zs * np.power(base, half) * np.power(base, e[split] - half)
+        bs = _at(base, split)
+        out[split] = _at(z, split) * np.power(bs, half) * np.power(bs, e[split] - half)
     return out
 
 
@@ -132,6 +139,7 @@ def _walk(w, e, idx, kc, a, inward):
     (entries below kc*a). Settled entries are written back to w and their
     step count to e (negative inward). Returns the indices still outside.
     """
+    kc = _at(kc, idx)
     lo = kc * a
     ww = w[idx]
     for n in range(1, _CHECKED + 1):
@@ -144,23 +152,75 @@ def _walk(w, e, idx, kc, a, inward):
             w[idx[done]] = ww[done]
             e[idx[done]] = -n if inward else n
             idx, ww = idx[out], ww[out]
+            kc, lo = _at(kc, out), _at(lo, out)
     return idx
 
 
-def _jump(v, kc, a, inward):
+def _jump(v, kc, log_kc, a, inward):
     """Exponent e and w = v*kc**-e in [kc*a, a] of the entries v > 0 that
     the walk left outside.
 
     v lies in (a*kc**(e+1), a*kc**e] inward and [a*kc**(e+1), a*kc**e)
     outward, the walk's ties, once the log estimate is within one of e.
     """
-    e = np.floor((np.log(v) - math.log(a)) / math.log(kc))
+    e = np.floor((np.log(v) - math.log(a)) / log_kc)
     above, below = _scale(a, kc, e), _scale(a, kc, e + 1.0)
     if inward:
         e = np.minimum(e + (v <= below) - (v > above), -_CHECKED - 1.0)
     else:
         e = np.maximum(e + (v < below) - (v >= above), _CHECKED + 1.0)
     return e, np.clip(_scale(v, kc, -e), kc * a, a)
+
+
+def _power_bridge(u, alpha):
+    """u ** alpha, alpha a scalar or one per entry.
+
+    Per entry, each distinct alpha is raised as a scalar: numpy's ** squares
+    at 2 and takes the root at 0.5, which np.power does not, so each entry
+    keeps the bits of the scalar call.
+    """
+    if not isinstance(alpha, np.ndarray):
+        return u ** alpha
+    out = np.empty_like(u)
+    for al in np.unique(alpha).tolist():
+        sel = alpha == al
+        out[sel] = u[sel] ** al
+    return out
+
+
+def _fd_eval(x, kc, mc, log_kc, alpha, a, bridge_code):
+    """(h, e): h of the float array x, raveled, and the orbit exponent of
+    each entry.
+
+    The slopes kc, mc, log_kc = log(kc) and the power-bridge exponent alpha
+    = log(mc)/log(kc) are scalars, or arrays with one value per entry of
+    x.ravel(), each entry then computed as with its own scalars.
+    """
+    v = np.abs(x).ravel()
+    finite = np.isfinite(v)
+    lo = kc * a
+    w = v.copy()
+    e = np.zeros(v.shape)
+    # a whole power may leave the float range; _scale splits it and recomputes
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for inward, outside in ((True, finite & (v > a)), (False, (v != 0.0) & (v < lo))):
+            deep = _walk(w, e, np.flatnonzero(outside), kc, a, inward)
+            if deep.size:
+                e[deep], w[deep] = _jump(v[deep], _at(kc, deep), _at(log_kc, deep), a, inward)
+        if bridge_code == BRIDGE_POWER:
+            y = a * _power_bridge(w / a, alpha)
+            top = a  # the bridge at w = a
+        else:
+            slope = (a - mc * a) / (a - lo)
+            y = mc * a + (w - lo) * slope
+            top = mc * a + (a - lo) * slope
+        h = np.maximum(_scale(y, mc, e), _scale(top, mc, e + 1.0))
+    out = np.sign(x).ravel() * h
+    out[v == 0.0] = 0.0
+    # which nan a product of two passes on depends on where numpy's vector
+    # loops place the entry: a non-finite x gets the one positive quiet nan
+    out[~finite] = np.nan
+    return out, e
 
 
 def fd_eval(x, kc, mc, a, bridge_code, cap):
@@ -170,30 +230,31 @@ def fd_eval(x, kc, mc, a, bridge_code, cap):
     where |e| > cap + 1, as a walk of cap + 1 steps leaves it.
     """
     x = np.asarray(x, dtype=np.float64)
-    v = np.abs(x).ravel()
-    lo = kc * a
-    w = v.copy()
-    e = np.zeros(v.shape)
-    # a whole power may leave the float range; _scale splits it and recomputes
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        for inward, outside in ((True, np.isfinite(v) & (v > a)), (False, (v != 0.0) & (v < lo))):
-            deep = _walk(w, e, np.flatnonzero(outside), kc, a, inward)
-            if deep.size:
-                e[deep], w[deep] = _jump(v[deep], kc, a, inward)
-        if bridge_code == BRIDGE_POWER:
-            alpha = math.log(mc) / math.log(kc)
-            y = a * (w / a) ** alpha
-            top = a  # the bridge at w = a
-        else:
-            slope = (a - mc * a) / (a - lo)
-            y = mc * a + (w - lo) * slope
-            top = mc * a + (a - lo) * slope
-        h = np.maximum(_scale(y, mc, e), _scale(top, mc, e + 1.0))
-    out = np.sign(x).ravel() * h
-    out[v == 0.0] = 0.0
-    out[np.isinf(v)] = np.nan
+    log_kc = math.log(kc)
+    alpha = math.log(mc) / log_kc if bridge_code == BRIDGE_POWER else None
+    out, e = _fd_eval(x, kc, mc, log_kc, alpha, a, bridge_code)
     if cap is not None:
         out[np.abs(e) > cap + 1] = np.nan
+    return out.reshape(x.shape)
+
+
+def fd_eval_rows(x, kc, mc, a, bridge_code):
+    """fd_eval of each row of a (rows, n) stack x with its own core slopes,
+    bit for bit as fd_eval(x[r], kc[r], mc[r], a, bridge_code, None).
+
+    The logs are taken per row with math.log, as fd_eval takes them: np.log
+    rounds some inputs otherwise.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    log_kc = [math.log(k) for k in kc]
+    alpha = [math.log(m) / lk for m, lk in zip(mc, log_kc)] if bridge_code == BRIDGE_POWER else None
+
+    def per_entry(row_values):
+        if row_values is None:
+            return None
+        return np.repeat(np.asarray(row_values, dtype=np.float64), x.shape[1])
+
+    out, _ = _fd_eval(x, *map(per_entry, (kc, mc, log_kc, alpha)), a, bridge_code)
     return out.reshape(x.shape)
 
 

@@ -27,10 +27,91 @@ SHAPE_RATIONAL = "rational"
 SMOOTH_RATIONAL_QUADRATIC = "rational-quadratic"
 
 
+# an overflow, or inf/inf, is rare: it raises instead of being looked for. As
+# a decorator np.errstate costs less than half of a with block per call
+@np.errstate(over="raise", invalid="raise")
+def _near_or_raise(near, c, x):
+    num, den = near(c, x)
+    return num / den
+
+
+def _quotient(near, far, c, x):
+    """A quotient with a power of 1 + x*x below: near(c, x) gives its
+    numerator and denominator, and far(c, x) the quotient rewritten in 1/x,
+    taken on the entries where near's numerator or denominator is not finite
+    (x*x past the float range, x = +-inf or nan), so that no overflow gives
+    nan or a warning. c is a scalar or a column of x's rows.
+    """
+    if type(x) is float:
+        # Python floats overflow silently, except in ** (OverflowError)
+        try:
+            num, den = near(c, x)
+        except OverflowError:
+            return far(c, x)
+        return num / den if math.isfinite(num) and math.isfinite(den) else far(c, x)
+    try:
+        return _near_or_raise(near, c, x)
+    except FloatingPointError:
+        pass
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        num, den = near(c, x)
+        out = num / den
+        at = ~(np.isfinite(num) & np.isfinite(den))
+        if np.ndim(out) == 0:
+            return far(c, x) if at else out
+        at = np.broadcast_to(at, out.shape)
+        cs = np.broadcast_to(c, out.shape)[at] if np.ndim(c) else c
+        out[at] = far(cs, np.broadcast_to(x, out.shape)[at])
+    return out
+
+
+# the _quotient forms of c*x/(1 + x*x), the rational bump, and of its
+# derivative c*(1 - x*x)/(1 + x*x)**2; of c*x*x/(1 + x*x), the smooth term, and
+# of its derivative c*2*x/(1 + x*x)**2. A near form keeps the operation order
+# of the bits pinned below the overflow; a far form is exact algebra in 1/x
+
+def _rational_near(c, x):
+    return c * x, 1.0 + x * x
+
+
+def _rational_far(c, x):
+    return c / (x + 1.0 / x)
+
+
+def _rational_slope_near(c, x):
+    xx = x * x
+    return c * (1.0 - xx), (1.0 + xx) ** 2
+
+
+def _rational_slope_far(c, x):
+    uu = (1.0 / x) ** 2
+    return c * ((uu - 1.0) * uu) / (1.0 + uu) ** 2
+
+
+def _smooth_near(c, x):
+    xx = x * x
+    return c * x * x, 1.0 + xx
+
+
+def _smooth_far(c, x):
+    return c / (1.0 + 1.0 / (x * x))
+
+
+def _smooth_slope_near(c, x):
+    xx = x * x
+    return c * 2.0 * x, (1.0 + xx) ** 2
+
+
+def _smooth_slope_far(c, x):
+    u = 1.0 / x
+    uu = u * u
+    return c * 2.0 * (u * uu) / (1.0 + uu) ** 2
+
+
 def _bump(shape: str, amplitude, x):
     if shape == SHAPE_SINE:
         return amplitude * np.sin(x)
-    return amplitude * x / (1.0 + x * x)
+    return _quotient(_rational_near, _rational_far, amplitude, x)
 
 
 def _value(kind: str, shape: str | None, k, c, x):
@@ -40,7 +121,7 @@ def _value(kind: str, shape: str | None, k, c, x):
         return k * np.asarray(x) if np.ndim(x) else k * x
     if kind == KIND_LIPSCHITZ:
         return k * x + _bump(shape, c, x)
-    return k * x + c * x * x / (1.0 + x * x)
+    return k * x + _quotient(_smooth_near, _smooth_far, c, x)
 
 
 @dataclass(frozen=True)
@@ -72,8 +153,7 @@ class Perturbation:
     def derivative(self, x):
         if self.shape == SHAPE_SINE:
             return self.amplitude * np.cos(x)
-        xx = x * x
-        return self.amplitude * (1.0 - xx) / (1.0 + xx) ** 2
+        return _quotient(_rational_slope_near, _rational_slope_far, self.amplitude, x)
 
 
 @dataclass(frozen=True)
@@ -122,8 +202,7 @@ class ScalarMap:
             return self.k * np.ones_like(x, dtype=float) if np.ndim(x) else self.k
         if self.kind == KIND_LIPSCHITZ:
             return self.k + self.perturbation.derivative(x)
-        xx = x * x
-        return self.k + self.c * 2.0 * x / (1.0 + xx) ** 2
+        return self.k + _quotient(_smooth_slope_near, _smooth_slope_far, self.c, x)
 
     @property
     def derivative_extrema(self) -> tuple[float, ...]:

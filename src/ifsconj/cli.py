@@ -165,7 +165,7 @@ def _build_and_verify(args):
         raise SchemaError("bridge must be 'linear' or 'power-law'", field="bridge")
     anchor = float(doc.get("anchor", 1.0))
     radius = _radius(args, doc)
-    config.bounded_count(args.grid, "--grid")
+    config.bounded_count(args.grid, "--grid", least=2)
     resolved = {
         "f": doc["f"],
         "g": doc["g"],
@@ -378,7 +378,7 @@ def _run_distance(args):
     F = IfsDescriptor(tuple(config.parse_maps(doc["maps"])))
     G = IfsDescriptor(tuple(config.parse_maps(doc["g_maps"], "g_maps")))
     radius = _radius(args, doc)
-    config.bounded_count(args.grid, "--grid")
+    config.bounded_count(args.grid, "--grid", least=2)
     rep = ifs_distance(F, G, args.level, args.grid, radius)
     report = {
         "level": args.level,

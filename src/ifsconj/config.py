@@ -36,10 +36,13 @@ from .sequences import (
 MAX_COUNT = 1_000_000
 
 
-def bounded_count(value: int, field: str) -> int:
-    """value, or SchemaError naming field when it is above MAX_COUNT."""
+def bounded_count(value: int, field: str, least: int | None = None) -> int:
+    """value, or SchemaError naming field when it is above MAX_COUNT or
+    below least."""
     if value > MAX_COUNT:
         raise SchemaError(f"{field} must be at most {MAX_COUNT}", field=field)
+    if least is not None and value < least:
+        raise SchemaError(f"{field} must be at least {least}", field=field)
     return value
 
 

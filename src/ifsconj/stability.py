@@ -9,7 +9,9 @@ catalog maps. Each call computes the grid data of every map it compares
 once (values, inverse, derivative) and reduces pairs from those profiles.
 The perturbation probe profiles the candidates of its pending trials
 together: map i of every candidate is evaluated and inverted as one row of
-a catalog.MapStack, bit for bit as alone.
+a catalog.MapStack, bit for bit as alone. An admitted trial's three weak
+conjugacies are checked in one row-stacked kernel call, with the residuals
+verify_conjugacy would give.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .catalog import KIND_LIPSCHITZ, MapStack, Perturbation, ScalarMap
-from .conjugacy import same_interval_test, verify_conjugacy, weak_conjugacy_linear
+from .conjugacy import _linear_residual_sups, same_interval_test, weak_conjugacy_linear
 from .defaults import BORDERLINE_TOL, DEFAULT_RADIUS, HYPERBOLIC_TOL
 from .errors import (
     ContinuumOfFixedPointsError,
@@ -67,6 +69,11 @@ class _MapProfile:
     derivative: np.ndarray
 
 
+def _check_grid(grid_size: int) -> None:
+    if grid_size < 2:
+        raise ValueError("grid_size must be >= 2")
+
+
 def _profiles(maps, grid_size: int, radius: float) -> list[_MapProfile]:
     """Profiles of maps on the grid; every map is checked before any is evaluated."""
     for f in maps:
@@ -94,6 +101,7 @@ def compare_maps(
     f: ScalarMap, g: ScalarMap, grid_size: int = 1001, radius: float = DEFAULT_RADIUS
 ) -> MetricReport:
     """Both distance levels in one pass, with the excluded-point count."""
+    _check_grid(grid_size)
     r0, r1, excluded = _reduce(*_profiles((f, g), grid_size, radius))
     return MetricReport(r0, r1, grid_size, (-radius, radius), excluded)
 
@@ -133,6 +141,7 @@ def ifs_distance(
     """
     if level not in (0, 1):
         raise ValueError("level must be 0 or 1")
+    _check_grid(grid_size)
     if tuple(F.maps) == tuple(G.maps):
         return IfsDistanceReport(0.0, 0.0 if level == 1 else None, None, True)
     profiles = _profiles((*F.maps, *G.maps), grid_size, radius)
@@ -258,7 +267,8 @@ class ProbeReport:
         return 1.0 if self.trials == 0 else self.passes / self.trials
 
 
-# grid of the probe's admissibility distance (paired_rho1_max's default)
+# grid of the probe's admissibility distance (paired_rho1_max's default) and
+# of its conjugacy checks
 _PROBE_GRID = 257
 
 
@@ -273,6 +283,7 @@ def paired_rho1_max(
     """
     if len(F.maps) != len(G.maps):
         raise ValueError("families must have equal map counts")
+    _check_grid(grid_size)
     profiles = _profiles((*F.maps, *G.maps), grid_size, radius)
     n = len(F.maps)
     return _paired_rho1(profiles[:n], profiles[n:])
@@ -333,29 +344,21 @@ def _candidate_profiles(cands, radius: float) -> list[list[_MapProfile] | None]:
 
 def _weakly_conjugate(f_lin: IfsDescriptor, G: IfsDescriptor, rng, radius, residual_tol) -> bool:
     """Whether the linear parts of F and G pass the weak-conjugacy check
-    along a sequence drawn from rng, for n in {1, 5, 10}."""
+    along a sequence drawn from rng, for n in {1, 5, 10}.
+
+    Composites of linear maps are linear, and h_n holds their slopes, so
+    each h_n is checked as verify_conjugacy(x -> h.k*x, x -> h.m*x, h_n) on
+    the probe grid; the three checks run as one row stack."""
     try:
         g_lin = linear_part(G).linear_ifs
         alphabet = f_lin.alphabet
         sigma = ExplicitSequence(
             tuple(rng.integers(1, len(alphabet) + 1, size=10)), alphabet
         )
-        for n in (1, 5, 10):
-            h = weak_conjugacy_linear(f_lin, g_lin, sigma, n)
-            # composites of linear maps are linear; h holds their slopes
-            rep = verify_conjugacy(
-                lambda x: h.k * x,
-                lambda x: h.m * x,
-                h,
-                grid_size=257,
-                tolerance=residual_tol,
-                radius=radius,
-            )
-            if not rep.passed:
-                return False
+        hs = [weak_conjugacy_linear(f_lin, g_lin, sigma, n) for n in (1, 5, 10)]
     except IfsConjError:
         return False
-    return True
+    return bool((_linear_residual_sups(hs, _PROBE_GRID, radius) <= residual_tol).all())
 
 
 def perturbation_probe(
@@ -371,7 +374,9 @@ def perturbation_probe(
     Each trial jitters slopes (and bump amplitudes) with its own generator,
     seeded by (seed, trial), until the index-paired C1 distance drops below
     delta, then checks interval feasibility and the conjugacy residual of
-    the linear parts along a pinned random sequence for n in {1, 5, 10}.
+    the linear parts along a pinned random sequence for n in {1, 5, 10}:
+    the residual verify_conjugacy gives on the 257-point grid, the three
+    computed as one fd_eval_rows stack.
     Trials whose perturbation crosses an interval boundary count as
     failures, not generation errors. A candidate with a map that is not
     strictly monotone, or that is evaluated outside its domain, is not

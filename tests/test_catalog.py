@@ -1,5 +1,7 @@
 """Map catalog: evaluation, exact derivatives, Lipschitz estimation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,3 +189,83 @@ def test_smooth_budget_covers_its_steepest_slope():
     steepest = max(abs(f.derivative(s / np.sqrt(3.0))) for s in (1.0, -1.0))
     assert f.lipschitz_budget == pytest.approx(0.5 + 0.2 * 3 * np.sqrt(3) / 8)
     assert steepest <= f.lipschitz_budget <= steepest + 1e-15
+
+
+# -- values and slopes past x*x's float range -----------------------------------
+
+NONLINEAR = {
+    "smooth": smooth(0.5, 0.1),
+    "rational": linear_plus_lipschitz(0.5, rational_bump(0.2)),
+    "rational-neg": linear_plus_lipschitz(-0.4, rational_bump(-0.3)),
+}
+
+
+def test_smooth_value_past_square_range():
+    # c*x*x/(1 + x*x) is c there: the value was nan
+    assert smooth(0.5, 0.1)(1e200) == 0.5 * 1e200 + 0.1
+    assert smooth(0.5, 0.1)(-1e200) == -0.5 * 1e200 + 0.1
+
+
+@pytest.mark.parametrize("name", list(NONLINEAR))
+@pytest.mark.parametrize("x", [1e155, -1e155, 1e200, -3e300, 1.7e308, 1e100, -1e80])
+def test_values_and_slopes_past_square_range_are_finite(name, x):
+    f = NONLINEAR[name]
+    k = f.k
+    xs = np.array([x, 1.0, x])
+    values, slopes = f(xs), f.derivative(xs)  # no RuntimeWarning
+    assert np.isfinite(values).all() and np.isfinite(slopes).all()
+    assert values[0] == f(x) == pytest.approx(k * x, rel=1e-15)
+    # f' = k + a term below 1e-150 in size
+    assert slopes[0] == f.derivative(x) == k
+    assert values[1] == f(1.0) and slopes[1] == f.derivative(1.0)
+
+
+def test_rational_bump_slope_past_square_range():
+    # (1 - x*x)/(1 + x*x)**2 was -inf/inf = nan
+    f = linear_plus_lipschitz(0.5, rational_bump(0.2))
+    assert f.derivative(1e200) == 0.5
+    assert rational_bump(0.2).derivative(1e200) == 0.0  # -0.2/x**2 underflows
+    assert rational_bump(0.2).derivative(1e100) == pytest.approx(-0.2e-200, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", list(NONLINEAR))
+def test_infinite_and_nan_inputs(name):
+    f = NONLINEAR[name]
+    xs = np.array([np.inf, -np.inf, np.nan])
+    assert list(np.sign(f(xs)[:2])) == [np.sign(f.k), -np.sign(f.k)]
+    assert np.isinf(f(xs)[:2]).all() and np.isnan(f(xs)[2])
+    assert list(f.derivative(xs)[:2]) == [f.k, f.k] and np.isnan(f.derivative(xs)[2])
+    assert f(math.inf) == f(xs)[0] and math.isnan(f(math.nan))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(NONLINEAR)),
+       st.floats(-1e150, 1e150, allow_nan=False),
+       st.sampled_from([lambda x: x, np.float64, lambda x: np.array([x, -x])]))
+def test_values_below_square_range_keep_their_bits(name, x, wrap):
+    # the former formulas, in the input's own arithmetic: Python's float **
+    # and numpy's ** 2 (a square) round differently
+    f = NONLINEAR[name]
+    c = f.c if f.kind == "smooth" else f.perturbation.amplitude
+    v = wrap(x)
+    xx = v * v
+    if f.kind == "smooth":
+        value = f.k * v + c * v * v / (1.0 + xx)
+    else:
+        value = f.k * v + c * v / (1.0 + xx)
+    assert np.array_equal(f(v), value)
+    if abs(x) < 1e77:  # (1 + x*x)**2 in range
+        if f.kind == "smooth":
+            slope = f.k + c * 2.0 * v / (1.0 + xx) ** 2
+        else:
+            slope = f.k + c * (1.0 - xx) / (1.0 + xx) ** 2
+        assert np.array_equal(f.derivative(v), slope)
+
+
+def test_map_stack_past_square_range_matches_each_map():
+    maps = [smooth(0.5, 0.1), smooth(0.3, -0.2), smooth(0.45, 0.05)]
+    x = np.array([[1e200, -1e155, 2.0, np.inf], [3.0, 1e300, -np.inf, np.nan],
+                  [0.0, 1e154, 1.4e154, -1e308]])
+    got = MapStack(maps)(x)
+    for r, f in enumerate(maps):
+        assert np.array_equal(got[r], f(x[r]), equal_nan=True)

@@ -680,3 +680,16 @@ def test_oversized_counts_exit_1_before_any_allocation(tmp_path, capsys, monkeyp
     assert code == 1
     assert capsys.readouterr().err == f"ifsconj {command}: {field} must be at most {MAX_COUNT}\n"
     assert peak < 1 << 20
+
+
+# a grid below 2 is refused before the library is called; --grid 1 used to
+# report a one-point distance, and --grid 0 failed inside numpy
+@pytest.mark.parametrize("grid", ["1", "0", "-3"])
+@pytest.mark.parametrize("command, doc", [("distance", DISTANCE_DOC), ("verify", CONJ_DOC),
+                                          ("conjugacy", CONJ_DOC)])
+def test_grid_below_two_exits_1_naming_the_flag(tmp_path, capsys, monkeypatch, command, doc, grid):
+    for name in LIBRARY_CALLS:
+        monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: pytest.fail(f"{_name} ran"))
+    inp = write(tmp_path, "doc.json", doc)
+    assert main([command, "--input", inp, "--grid", grid]) == 1
+    assert capsys.readouterr().err == f"ifsconj {command}: --grid must be at least 2\n"

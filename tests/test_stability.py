@@ -482,3 +482,15 @@ def test_probe_budget_matches_trial_by_trial_loop(monkeypatch, every, seed, rais
     got = probe_outcome(perturbation_probe, maps, 0.01, 3, seed)
     assert got == probe_outcome(perturbation_probe_reference, maps, 0.01, 3, seed)
     assert (got[0] == "GenerationError") == raises
+
+
+@pytest.mark.parametrize("grid", [1, 0, -3])
+def test_distances_refuse_a_grid_below_two(grid):
+    F = IfsDescriptor((linear(0.5),))
+    G = IfsDescriptor((linear(0.4),))
+    for call in (lambda: compare_maps(F.maps[0], G.maps[0], grid),
+                 lambda: ifs_distance(F, G, 1, grid),
+                 lambda: ifs_distance(F, F, 1, grid),  # identical families too
+                 lambda: paired_rho1_max(F, G, grid)):
+        with pytest.raises(ValueError, match="grid_size must be >= 2"):
+            call()
