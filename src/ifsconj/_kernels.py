@@ -28,6 +28,8 @@ MAP_SMOOTH_RQ = 3
 BRIDGE_LINEAR = 0
 BRIDGE_POWER = 1
 
+_QUOTIENTS = (MAP_RATIONAL, MAP_SMOOTH_RQ)  # maps whose term has 1 + x*x below
+
 
 # ---------------------------------------------------------------------------
 # orbit chain: x_{t+1} = f_{sym_t}(x_t), full trajectory returned
@@ -42,23 +44,53 @@ def pack_rows(rows):
     return codes, ks, cs, bs
 
 
+def _retake(rows, syms, buf, x0, t, x):
+    """x_t, where step t - 1 of the orbit gave the non-finite x.
+
+    A rational or smooth step, whose input y is finite, is taken again as
+    catalog takes it and written to buf: the near quotient where its
+    numerator and denominator are finite, else the form in 1/y
+    (catalog._rational_far, _smooth_far).
+    """
+    if not t or rows[syms[t - 1]][0] not in _QUOTIENTS:
+        return x
+    code, k, c, _ = rows[syms[t - 1]]
+    y = buf[t - 2] if t > 1 else x0
+    rational = code == MAP_RATIONAL
+    num, den = (c * y if rational else c * y * y), 1.0 + y * y
+    if math.isfinite(num) and math.isfinite(den):
+        x = buf[t - 1] = k * y + num / den
+    else:
+        x = buf[t - 1] = k * y + (c / (y + 1.0 / y) if rational else c / (1.0 + 1.0 / (y * y)))
+    return x
+
+
 def orbit_chain(codes, ks, cs, bs, symbols, x0):
     """Trajectory of x0 under the maps picked by symbols.
 
-    Once the orbit is non-finite, the rest of the trajectory holds that
-    non-finite value.
+    Each step equals the catalog map's value. A rational or smooth step
+    that leaves the float range with x*x gives a non-finite value, and is
+    taken again by _retake. So is every step of such a map with |k| below
+    1e-130, for which k*x could not absorb the far term the near form drops
+    where only 1 + x*x overflows (at most about 1 in size): its row holds a
+    nan slope. Once the orbit is non-finite, the rest of the trajectory
+    holds that non-finite value.
     """
     out = np.empty(symbols.shape[0], dtype=np.float64)
-    maps = [(int(code), float(k), float(c), float(b))
-            for code, k, c, b in zip(codes, ks, cs, bs)]
+    rows = [(int(code), float(k), float(c), float(b)) for code, k, c, b in zip(codes, ks, cs, bs)]
+    maps = [(code, math.nan if code in _QUOTIENTS and abs(k) < 1e-130 else k, c, b)
+            for code, k, c, b in rows]
+    syms = symbols.tolist()
     isfinite, sin = math.isfinite, math.sin
-    x = float(x0)
+    x0 = x = float(x0)
     # a memoryview stores a Python float into out faster than ndarray indexing
     with memoryview(out) as buf:
-        for t, s in enumerate(symbols.tolist()):
+        for t, s in enumerate(syms):
             if not isfinite(x):
-                out[t:] = x
-                break
+                x = _retake(rows, syms, buf, x0, t, x)
+                if not isfinite(x):
+                    out[t:] = x
+                    break
             code, k, c, b = maps[s]
             if code == MAP_LINEAR:
                 x = k * x + b
@@ -69,6 +101,9 @@ def orbit_chain(codes, ks, cs, bs, symbols, x0):
             else:
                 x = k * x + c * x * x / (1.0 + x * x)
             buf[t] = x
+        else:
+            if not isfinite(x):
+                _retake(rows, syms, buf, x0, len(syms), x)
     return out
 
 
@@ -101,18 +136,11 @@ def orbit_chain_diag(diags, symbols, x0):
 # w = |x|*kc**-e clipped to [kc*a, a]. Clipping h into [top(e+1), top(e)],
 # top(e) the value at w = a, makes neighbouring intervals meet at one float,
 # so h never decreases between adjacent floats, at the seams included.
-# fd_eval_rows runs the same body on a stack of rows, each with its own core
-# slopes, held as one value per entry.
 # ---------------------------------------------------------------------------
 
 _CHECKED = 8  # checked steps before the entries still outside jump
 
 _TINY = np.finfo(np.float64).tiny  # smallest normal float
-
-
-def _at(s, idx):
-    """s[idx] for a per-entry array s; a scalar s applies to every entry."""
-    return s[idx] if isinstance(s, np.ndarray) else s
 
 
 def _scale(z, base, e):
@@ -127,8 +155,8 @@ def _scale(z, base, e):
     split = ~(p >= _TINY) | (p == math.inf)
     if split.any():
         half = np.floor(e[split] / 2)
-        bs = _at(base, split)
-        out[split] = _at(z, split) * np.power(bs, half) * np.power(bs, e[split] - half)
+        zs = z[split] if np.ndim(z) else z
+        out[split] = zs * np.power(base, half) * np.power(base, e[split] - half)
     return out
 
 
@@ -139,7 +167,6 @@ def _walk(w, e, idx, kc, a, inward):
     (entries below kc*a). Settled entries are written back to w and their
     step count to e (negative inward). Returns the indices still outside.
     """
-    kc = _at(kc, idx)
     lo = kc * a
     ww = w[idx]
     for n in range(1, _CHECKED + 1):
@@ -152,18 +179,17 @@ def _walk(w, e, idx, kc, a, inward):
             w[idx[done]] = ww[done]
             e[idx[done]] = -n if inward else n
             idx, ww = idx[out], ww[out]
-            kc, lo = _at(kc, out), _at(lo, out)
     return idx
 
 
-def _jump(v, kc, log_kc, a, inward):
+def _jump(v, kc, a, inward):
     """Exponent e and w = v*kc**-e in [kc*a, a] of the entries v > 0 that
     the walk left outside.
 
     v lies in (a*kc**(e+1), a*kc**e] inward and [a*kc**(e+1), a*kc**e)
     outward, the walk's ties, once the log estimate is within one of e.
     """
-    e = np.floor((np.log(v) - math.log(a)) / log_kc)
+    e = np.floor((np.log(v) - math.log(a)) / math.log(kc))
     above, below = _scale(a, kc, e), _scale(a, kc, e + 1.0)
     if inward:
         e = np.minimum(e + (v <= below) - (v > above), -_CHECKED - 1.0)
@@ -172,30 +198,13 @@ def _jump(v, kc, log_kc, a, inward):
     return e, np.clip(_scale(v, kc, -e), kc * a, a)
 
 
-def _power_bridge(u, alpha):
-    """u ** alpha, alpha a scalar or one per entry.
+def fd_eval(x, kc, mc, a, bridge_code, cap):
+    """h(x) of the fundamental-domain conjugacy with core slopes kc, mc.
 
-    Per entry, each distinct alpha is raised as a scalar: numpy's ** squares
-    at 2 and takes the root at 0.5, which np.power does not, so each entry
-    keeps the bits of the scalar call.
+    0 maps to 0, nan and +-inf to nan. cap is None, or a step bound: NaN
+    where |e| > cap + 1, as a walk of cap + 1 steps leaves it.
     """
-    if not isinstance(alpha, np.ndarray):
-        return u ** alpha
-    out = np.empty_like(u)
-    for al in np.unique(alpha).tolist():
-        sel = alpha == al
-        out[sel] = u[sel] ** al
-    return out
-
-
-def _fd_eval(x, kc, mc, log_kc, alpha, a, bridge_code):
-    """(h, e): h of the float array x, raveled, and the orbit exponent of
-    each entry.
-
-    The slopes kc, mc, log_kc = log(kc) and the power-bridge exponent alpha
-    = log(mc)/log(kc) are scalars, or arrays with one value per entry of
-    x.ravel(), each entry then computed as with its own scalars.
-    """
+    x = np.asarray(x, dtype=np.float64)
     v = np.abs(x).ravel()
     finite = np.isfinite(v)
     lo = kc * a
@@ -206,9 +215,10 @@ def _fd_eval(x, kc, mc, log_kc, alpha, a, bridge_code):
         for inward, outside in ((True, finite & (v > a)), (False, (v != 0.0) & (v < lo))):
             deep = _walk(w, e, np.flatnonzero(outside), kc, a, inward)
             if deep.size:
-                e[deep], w[deep] = _jump(v[deep], _at(kc, deep), _at(log_kc, deep), a, inward)
+                e[deep], w[deep] = _jump(v[deep], kc, a, inward)
         if bridge_code == BRIDGE_POWER:
-            y = a * _power_bridge(w / a, alpha)
+            alpha = math.log(mc) / math.log(kc)
+            y = a * (w / a) ** alpha
             top = a  # the bridge at w = a
         else:
             slope = (a - mc * a) / (a - lo)
@@ -220,41 +230,8 @@ def _fd_eval(x, kc, mc, log_kc, alpha, a, bridge_code):
     # which nan a product of two passes on depends on where numpy's vector
     # loops place the entry: a non-finite x gets the one positive quiet nan
     out[~finite] = np.nan
-    return out, e
-
-
-def fd_eval(x, kc, mc, a, bridge_code, cap):
-    """h(x) of the fundamental-domain conjugacy with core slopes kc, mc.
-
-    0 maps to 0, nan and +-inf to nan. cap is None, or a step bound: NaN
-    where |e| > cap + 1, as a walk of cap + 1 steps leaves it.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    log_kc = math.log(kc)
-    alpha = math.log(mc) / log_kc if bridge_code == BRIDGE_POWER else None
-    out, e = _fd_eval(x, kc, mc, log_kc, alpha, a, bridge_code)
     if cap is not None:
         out[np.abs(e) > cap + 1] = np.nan
-    return out.reshape(x.shape)
-
-
-def fd_eval_rows(x, kc, mc, a, bridge_code):
-    """fd_eval of each row of a (rows, n) stack x with its own core slopes,
-    bit for bit as fd_eval(x[r], kc[r], mc[r], a, bridge_code, None).
-
-    The logs are taken per row with math.log, as fd_eval takes them: np.log
-    rounds some inputs otherwise.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    log_kc = [math.log(k) for k in kc]
-    alpha = [math.log(m) / lk for m, lk in zip(mc, log_kc)] if bridge_code == BRIDGE_POWER else None
-
-    def per_entry(row_values):
-        if row_values is None:
-            return None
-        return np.repeat(np.asarray(row_values, dtype=np.float64), x.shape[1])
-
-    out, _ = _fd_eval(x, *map(per_entry, (kc, mc, log_kc, alpha)), a, bridge_code)
     return out.reshape(x.shape)
 
 

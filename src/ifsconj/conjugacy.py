@@ -97,26 +97,6 @@ def locate_fundamental_exponent(x: float, k: float, a: float, cap: int = 10_000)
     return n, w
 
 
-def _settle(hv, xs, negate):
-    """Turn fd_eval's values hv at xs into h's values, in place.
-
-    A nonzero x whose h(x) underflows gets the smallest subnormal of its
-    sign (h(x) = 0 only at x = 0), and hv is negated where negate holds
-    (k < 0; a bool, or an array broadcast against hv). Returns the mask of
-    the entries of hv that are not finite, where a finite x's h(x)
-    overflows (which h refuses), or None when there is none.
-    """
-    finite = np.isfinite(hv)
-    overflow = None if finite.all() else ~finite
-    underflow = (hv == 0.0) & (xs != 0.0)
-    hv[underflow] = np.copysign(math.ulp(0.0), xs[underflow])
-    if isinstance(negate, np.ndarray):
-        np.negative(hv, out=hv, where=negate)
-    elif negate:
-        np.negative(hv, out=hv)
-    return overflow
-
-
 @dataclass(frozen=True)
 class FundamentalDomainConjugacy(Homeomorphism1D):
     """Conjugacy h with h(k*x) = m*h(x) for same-interval slopes k, m.
@@ -178,12 +158,15 @@ class FundamentalDomainConjugacy(Homeomorphism1D):
         finite = np.isfinite(xs)
         vals = xs[finite]
         hv = _kernels.fd_eval(vals, kc, mc, self.anchor, _BRIDGE_CODES[self.bridge], None)
-        overflow = _settle(hv, vals, self.k < 0)
-        if overflow is not None:
-            raise NumericFailureError(f"h({float(vals[overflow][0])}) overflows the float range")
-        out = -xs if self.k < 0 else xs.copy()
+        if not np.isfinite(hv).all():
+            bad = float(vals[~np.isfinite(hv)][0])
+            raise NumericFailureError(f"h({bad}) overflows the float range")
+        # h(x) = 0 only at x = 0: a value below the float range keeps its sign
+        underflow = (hv == 0.0) & (vals != 0.0)
+        hv[underflow] = np.copysign(math.ulp(0.0), vals[underflow])
+        out = xs.copy()
         out[finite] = hv
-        return out
+        return -out if self.k < 0 else out
 
     def inverse(self) -> "FundamentalDomainConjugacy":
         """Structural inverse: swap the slope roles, same bridge kind."""
@@ -432,41 +415,6 @@ def verify_conjugacy(
         verdict="pass" if sup <= tolerance else "fail",
         worst_point=float(xs[worst_idx]),
     )
-
-
-def _linear_residual_sups(hs, grid_size: int, radius: float) -> np.ndarray:
-    """verify_conjugacy(x -> h.k*x, x -> h.m*x, h, grid_size, radius=radius)
-    .residual_sup of each h in hs, bit for bit, or inf where h(x) overflows
-    (where h raises NumericFailureError).
-
-    The h share one anchor and bridge. h at the grid and at h.k times the
-    grid, for every h, are the rows of one fd_eval_rows stack.
-    """
-    if len({(h.anchor, h.bridge) for h in hs}) != 1:
-        raise ValueError("stacked conjugacies need one anchor and bridge")
-    n = len(hs)
-    xs = np.linspace(-radius, radius, grid_size)
-    k = np.array([[h.k] for h in hs])
-    m = np.array([[h.m] for h in hs])
-    kc, mc = zip(*(h.core_slopes for h in hs))
-    with np.errstate(over="ignore", invalid="ignore"):
-        # rows: the grid for each h, then h.k times the grid for each h
-        x = np.concatenate((np.broadcast_to(xs, (n, grid_size)), k * xs))
-        out = _kernels.fd_eval_rows(x, kc * 2, mc * 2, hs[0].anchor, _BRIDGE_CODES[hs[0].bridge])
-        finite = np.isfinite(x)
-        if not finite.all():  # h.k*x overflowed, and h(+-inf) = +-inf
-            out[~finite] = x[~finite]
-        overflow = _settle(out, x, np.concatenate((k, k)) < 0)
-        hx, hfx = out[:n], out[n:]
-        ghx = m * hx
-        scale = 1.0 + np.maximum(np.abs(hfx), np.abs(ghx))
-        residuals = np.abs(hfx - ghx) / scale
-    # at argmax, as verify_conjugacy reads it: the first nan, if there is one
-    sups = residuals[np.arange(n), residuals.argmax(axis=1)]
-    if overflow is not None:
-        overflow = (overflow & finite).any(axis=1)
-        sups[overflow[:n] | overflow[n:]] = np.inf
-    return sups
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ifsconj import _kernels as K
+from ifsconj import catalog
 from ifsconj.catalog import linear, linear_plus_lipschitz, rational_bump, sine_bump, smooth
 from ifsconj.conjugacy import locate_fundamental_exponent
 
@@ -28,7 +29,8 @@ def all_pairs_quotient_max(xs, fx):
 
 
 def orbit_chain_loop(codes, ks, cs, bs, symbols, x0):
-    """Reference step loop: one map application per symbol, non-finite held."""
+    """Reference step loop: one map application per symbol, the rational
+    bump and the smooth term taken as catalog takes them, non-finite held."""
     n = symbols.shape[0]
     out = np.empty(n, dtype=np.float64)
     x = float(x0)
@@ -49,9 +51,9 @@ def orbit_chain_loop(codes, ks, cs, bs, symbols, x0):
         elif code == K.MAP_SINE:
             x = k * x + c * math.sin(x)
         elif code == K.MAP_RATIONAL:
-            x = k * x + c * x / (1.0 + x * x)
+            x = k * x + catalog._quotient(catalog._rational_near, catalog._rational_far, c, x)
         else:
-            x = k * x + c * x * x / (1.0 + x * x)
+            x = k * x + catalog._quotient(catalog._smooth_near, catalog._smooth_far, c, x)
         out[t] = x
     return out
 
@@ -186,9 +188,11 @@ def test_fd_eval_matches_reference_search(bridge):
 
 @pytest.mark.parametrize("bridge", [K.BRIDGE_LINEAR, K.BRIDGE_POWER])
 def test_fd_eval_nan_gives_nan(bridge):
-    out = K.fd_eval(np.array([np.nan, 1.0, 0.0]), 0.5, 0.25, 1.0, bridge, 100)
+    out = K.fd_eval(np.array([np.nan, 1.0, 0.0, -np.nan]), 0.5, 0.25, 1.0, bridge, 100)
     assert np.isnan(out[0])
     assert out[1] == 1.0 and out[2] == 0.0
+    # a negative nan gives the one positive quiet nan
+    assert out[3:].tobytes() == np.array([np.nan]).tobytes()
 
 
 FD_SPECIALS = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324,
@@ -409,6 +413,25 @@ def test_orbit_chain_bit_identical_to_loop(name, n):
         ref = orbit_chain_loop(codes, ks, cs, bs, symbols, x0)
         assert got.dtype == np.float64 and got.shape == (n,)
         assert got.tobytes() == ref.tobytes(), x0
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.floats(1.5, 4.0), log_c=st.floats(-12.0, 250.0), rational=st.booleans(),
+       x0=st.floats(0.5, 10.0), sign=st.sampled_from([1.0, -1.0]))
+# the orbit of smooth(3.0, 0.1) from 1.0 turned nan past 1.197e155
+@example(k=3.0, log_c=-1.0, rational=False, x0=1.0, sign=1.0)
+def test_orbit_chain_steps_are_map_values_past_the_overflow(k, log_c, rational, x0, sign):
+    # |f(x)| >= k|x| on these orbits, so each grows past 1.34e154, where x*x
+    # leaves the float range, and on to the float range's end
+    c = 10.0 ** log_c
+    f = linear_plus_lipschitz(k, rational_bump(c)) if rational else smooth(k, sign * c)
+    codes, ks, cs, bs = K.pack_rows([f.kernel_row()])
+    out = K.orbit_chain(codes, ks, cs, bs, np.zeros(2000, dtype=np.int64), sign * x0)
+    xs = np.concatenate(([sign * x0], out[:-1]))
+    stepped = np.isfinite(xs)
+    assert (np.abs(xs[stepped]) > 1.34e154).any() and not np.isfinite(out[-1])
+    want = [f(x) for x in xs[stepped].tolist()]
+    assert out[stepped].tobytes() == np.array(want).tobytes()
 
 
 DIAG_TABLES = {

@@ -1,10 +1,13 @@
 """Map distances, cross-pair family distance, hyperbolicity audit, probe."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ifsconj.stability as stab
 from ifsconj import (
@@ -22,13 +25,20 @@ from ifsconj import (
     sine_bump,
     smooth,
 )
-from ifsconj.conjugacy import verify_conjugacy, weak_conjugacy_linear
+from ifsconj.conjugacy import (
+    BRIDGE_LINEAR,
+    BRIDGE_POWER_LAW,
+    build_linear_conjugacy,
+    verify_conjugacy,
+    weak_conjugacy_linear,
+)
 from ifsconj.errors import (
     ContinuumOfFixedPointsError,
     GenerationError,
     HypothesisError,
     IfsConjError,
     InvertibilityError,
+    NumericFailureError,
 )
 from ifsconj.ifs import effective_slope
 from ifsconj.linearize import linear_part
@@ -326,6 +336,8 @@ PROBE_PINS = [
     ((linear(0.998),), 0.5, 8, 11, (6, 8)),
     ((linear(1.002), linear(2.0)), 0.5, 8, 3, (3, 8)),
     ((SMOOTH, SINE), 0.01, 10, 7, (10, 10)),
+    # 2 of the 13 admitted trials fail only where h_n overflows on the grid
+    ((linear(0.998),), 50.0, 20, 3, (11, 20)),
 ]
 
 
@@ -333,6 +345,58 @@ PROBE_PINS = [
 def test_probe_counts_pinned(maps, delta, trials, seed, expected):
     rep = perturbation_probe(IfsDescriptor(maps), delta, trials, seed)
     assert (rep.passes, rep.attempts) == expected
+
+
+# slopes of each interval as products of up to 10 factors: (0,1), (1,inf),
+# (-1,0), (-inf,-1)
+INTERVALS = [(0.02, 0.999, 1.0), (1.001, 50.0, 1.0), (0.02, 0.999, -1.0), (1.001, 50.0, -1.0)]
+
+
+def interval_slope(interval):
+    lo, hi, sign = INTERVALS[interval]
+    factors = st.lists(st.floats(lo, hi), min_size=1, max_size=10)
+    return factors.map(lambda fs: sign * math.prod(fs))
+
+
+def grid_check_passes(h, radius):
+    """verify_conjugacy of the linear pair h conjugates on the probe grid,
+    failed where h(x) overflows."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            rep = verify_conjugacy(lambda x: h.k * x, lambda x: h.m * x, h, 257, radius=radius)
+        except NumericFailureError:
+            return False
+    return rep.residual_sup <= 1e-8
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_reduced_check_matches_the_grid_check(data):
+    i = data.draw(st.integers(0, 3))
+    k, m = data.draw(interval_slope(i)), data.draw(interval_slope(i))
+    bridge = data.draw(st.sampled_from([BRIDGE_LINEAR, BRIDGE_POWER_LAW]))
+    anchor = data.draw(st.sampled_from([1.0, 0.37, 4.0]))
+    radius = data.draw(st.sampled_from([10.0, 0.5, 123.4, 1e6]))
+    h = build_linear_conjugacy(k, m, anchor, bridge)
+    assert stab._holds_on_grid(h, radius) == grid_check_passes(h, radius)
+
+
+@pytest.mark.parametrize("k, m, radius, passes", [
+    # h.k times the grid overflows: nan residuals
+    (1e306, 3.0, 1e3, False), (-1e306, -3.0, 1e3, False),
+    # h(10) = m**(log 10 / log k) overflows for k near 1 and a large m
+    (1.001, 1e17, 10.0, False), (-1.001, -1e17, 10.0, False),
+    # h(1e3) = 1e-300**(log 1e3 / log 0.5) overflows; its inverse does not
+    (0.5, 1e-300, 1e3, False), (1e-300, 0.5, 1e3, True),
+    # h overflows at the grid's end, not at h.k times it
+    (0.5, 2e-16, 1e6, False),
+    (0.5, 0.25, 10.0, True),
+])
+def test_reduced_check_at_extreme_slopes(k, m, radius, passes):
+    h = build_linear_conjugacy(k, m)
+    assert grid_check_passes(h, radius) == passes
+    assert stab._holds_on_grid(h, radius) == passes
 
 
 def test_probe_requires_one_slope_interval():
@@ -442,7 +506,8 @@ def probe_outcome(probe, maps, delta, trials, seed):
 _DOMAIN = (-29.0, 29.0)
 DOMAIN_MAPS = (linear(1.02, domain=_DOMAIN), smooth(1.5, 0.1, domain=_DOMAIN))
 
-PROBE_CASES = [pin[:4] for pin in PROBE_PINS] + [
+# the pins from the sixth on come last, which keeps the other cases' test ids
+PROBE_CASES = [pin[:4] for pin in PROBE_PINS[:5]] + [
     # every candidate is refused as non-monotone: the budget runs out
     ((linear(0.5), linear_plus_lipschitz(0.3, sine_bump(0.5))), 0.01, 3, 1),
     # candidates with a slope below 1 leave the domain and are redrawn
@@ -451,7 +516,7 @@ PROBE_CASES = [pin[:4] for pin in PROBE_PINS] + [
     # more trials than one round profiles together
     ((linear(0.998),), 0.5, 70, 11),
     ((linear_plus_lipschitz(0.3, sine_bump(0.3)), SMOOTH), 0.01, 70, 2),
-]
+] + [pin[:4] for pin in PROBE_PINS[5:]]
 
 
 @pytest.mark.parametrize("maps, delta, trials, seed", PROBE_CASES)
