@@ -70,10 +70,7 @@ def chaos_game(
     of DiagonalMap for vector sampling. Every map must be contractive on the
     working interval.
     """
-    if isinstance(maps, IfsDescriptor):
-        family = list(maps.maps)
-    else:
-        family = list(maps)
+    family = list(maps.maps if isinstance(maps, IfsDescriptor) else maps)
     if not family:
         raise ValueError("need at least one map")
     if iterations < 0 or burn_in < 0:
@@ -90,14 +87,12 @@ def chaos_game(
     rng = np.random.default_rng(seed)
     symbols = rng.integers(0, len(family), size=iterations)
 
-    diagonal = all(isinstance(m, DiagonalMap) for m in family)
-    if diagonal:
+    if all(isinstance(m, DiagonalMap) for m in family):
         diags = np.array([m.diag for m in family])
         x = np.asarray(x0, dtype=float)
         traj = _kernels.orbit_chain_diag(diags, symbols, x)
     else:
-        scalar_ok = all(isinstance(m, (AffineMap, ScalarMap)) for m in family)
-        if not scalar_ok:
+        if not all(isinstance(m, (AffineMap, ScalarMap)) for m in family):
             raise ValueError("maps must be all scalar or all diagonal")
         codes, ks, cs, bs = _kernels.pack_rows([m.kernel_row() for m in family])
         traj = _kernels.orbit_chain(codes, ks, cs, bs, symbols, float(x0))

@@ -248,11 +248,10 @@ class ScalarMap:
             return
         lo, hi = self.domain
         arr = np.asarray(x)
-        if np.any(arr < lo) or np.any(arr > hi):
-            bad = float(np.asarray(arr).ravel()[np.argmax((arr < lo) | (arr > hi))])
-            raise DomainEscapeError(
-                f"value {bad} outside map domain [{lo}, {hi}]", value=bad
-            )
+        outside = (arr < lo) | (arr > hi)
+        if np.any(outside):
+            bad = float(arr.ravel()[np.argmax(outside)])
+            raise DomainEscapeError(f"value {bad} outside map domain [{lo}, {hi}]", value=bad)
 
     # -- kernel encoding ---------------------------------------------------
 
@@ -260,11 +259,8 @@ class ScalarMap:
         if self.kind == KIND_LINEAR:
             return (_kernels.MAP_LINEAR, self.k, 0.0, 0.0)
         if self.kind == KIND_LIPSCHITZ:
-            code = (
-                _kernels.MAP_SINE
-                if self.perturbation.shape == SHAPE_SINE
-                else _kernels.MAP_RATIONAL
-            )
+            sine = self.perturbation.shape == SHAPE_SINE
+            code = _kernels.MAP_SINE if sine else _kernels.MAP_RATIONAL
             return (code, self.k, self.perturbation.amplitude, 0.0)
         return (_kernels.MAP_SMOOTH_RQ, self.k, self.c, 0.0)
 

@@ -561,7 +561,8 @@ def main(argv=None) -> int:
         try:
             resolved, report, csv_table, code = HANDLERS[args.command](args)
         except ObstructionError as exc:
-            resolved, csv_table, code = {"input": args.input}, None, 2
+            # the handler raised before it resolved its configuration
+            resolved, csv_table, code = {"input": _load_doc(args)}, None, 2
             report = {
                 "verdict": "obstructed",
                 "reason": str(exc),

@@ -16,6 +16,7 @@ names the offending field. Examples:
 from __future__ import annotations
 
 import json
+import math
 
 from .attractor import AffineMap
 from .catalog import Perturbation, linear, linear_plus_lipschitz, smooth
@@ -91,6 +92,14 @@ def number_field(obj, ctx: str, key: str) -> float:
     return float(obj[key])
 
 
+def _finite_field(obj, ctx: str, key: str) -> float:
+    """A number field that is a map coefficient, so it must be finite."""
+    v = number_field(obj, ctx, key)
+    if not math.isfinite(v):
+        raise SchemaError(f"{ctx}.{key} must be finite", field=f"{ctx}.{key}")
+    return v
+
+
 def int_field(obj, ctx: str, key: str) -> int:
     _check_type(obj[key], int, f"{ctx}.{key}")
     return obj[key]
@@ -113,7 +122,7 @@ def parse_perturbation(obj, ctx: str = "perturbation") -> Perturbation:
     if shape not in ("sine", "rational"):
         raise SchemaError(f"{ctx}.shape must be 'sine' or 'rational'", field=f"{ctx}.shape")
     try:
-        return Perturbation(shape, number_field(obj, ctx, "amplitude"), number_field(obj, ctx, "lipschitz"))
+        return Perturbation(shape, _finite_field(obj, ctx, "amplitude"), number_field(obj, ctx, "lipschitz"))
     except ValueError as exc:
         raise SchemaError(f"{ctx}: {exc}", field=ctx) from exc
 
@@ -125,14 +134,14 @@ def parse_map(obj, ctx: str = "map", allow_affine: bool = False):
     try:
         if kind == "linear":
             check_keys(obj, ctx, {"kind": str, "k": float})
-            return linear(number_field(obj, ctx, "k"))
+            return linear(_finite_field(obj, ctx, "k"))
         if kind == "linear+lipschitz":
             check_keys(obj, ctx, {"kind": str, "k": float, "perturbation": dict})
             pert = parse_perturbation(obj["perturbation"], f"{ctx}.perturbation")
-            return linear_plus_lipschitz(number_field(obj, ctx, "k"), pert)
+            return linear_plus_lipschitz(_finite_field(obj, ctx, "k"), pert)
         if kind == "smooth":
             check_keys(obj, ctx, {"kind": str, "name": str, "k": float, "c": float})
-            return smooth(number_field(obj, ctx, "k"), number_field(obj, ctx, "c"), obj["name"])
+            return smooth(_finite_field(obj, ctx, "k"), _finite_field(obj, ctx, "c"), obj["name"])
         if kind == "affine":
             if not allow_affine:
                 raise SchemaError(

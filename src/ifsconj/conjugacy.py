@@ -38,9 +38,6 @@ ORIENT_DIRECT = "direct"
 ORIENT_INVERSE = "inverse-composed"
 ORIENT_NEGATED = "negated"
 
-OBSTRUCTION_ORIENTATION = "orientation-mismatch"
-OBSTRUCTION_ATTRACT_REPEL = "attract-repel-mismatch"
-
 
 # ---------------------------------------------------------------------------
 # homeomorphism forms
@@ -117,18 +114,17 @@ class FundamentalDomainConjugacy(Homeomorphism1D):
             raise ValueError(f"unknown bridge kind {self.bridge!r}")
         if not self.anchor > 0:
             raise ValueError("anchor must be positive")
-        tk = intervals.classify_slope_interval(self.k)
-        tm = intervals.classify_slope_interval(self.m)
-        if intervals.BOUNDARY in (tk, tm):
+        fs = intervals.slope_feasibility((self.k, self.m))
+        if fs.boundary is not None:
             raise NonHyperbolicError(
                 f"boundary slope (k={self.k}, m={self.m}); |slope| of 0 or 1 "
                 "admits no hyperbolic conjugacy"
             )
-        if tk != tm:
+        if fs.mismatch is not None:
             raise NonConjugateError(
-                f"slopes {self.k} in {tk} and {self.m} in {tm} are not "
-                "topologically conjugate",
-                obstruction=_obstruction_class((self.k, self.m)),
+                f"slopes {self.k} in {fs.tags[0]} and {self.m} in {fs.tags[1]} "
+                "are not topologically conjugate",
+                obstruction=fs.obstruction,
             )
 
     @property
@@ -321,14 +317,6 @@ class CompositeHomeomorphism(Homeomorphism1D):
 # operations
 # ---------------------------------------------------------------------------
 
-def _obstruction_class(slopes) -> str:
-    """Obstruction of pooled slopes in more than one interval: orientation
-    when their signs disagree, attract/repel when |slope| straddles 1."""
-    if len({s > 0 for s in slopes}) > 1:
-        return OBSTRUCTION_ORIENTATION
-    return OBSTRUCTION_ATTRACT_REPEL
-
-
 def build_linear_conjugacy(
     k: float,
     m: float,
@@ -436,17 +424,12 @@ def same_interval_test(F: IfsDescriptor, G: IfsDescriptor) -> FeasibilityReport:
     interval tag. The obstruction class mirrors the two failure modes:
     sign disagreement (orientation) or |slope| straddling 1 (attract/repel).
     """
-    slopes_f = [m.slope_at_zero for m in F.maps]
-    slopes_g = [m.slope_at_zero for m in G.maps]
-    tags_f = tuple(intervals.classify_slope_interval(s) for s in slopes_f)
-    tags_g = tuple(intervals.classify_slope_interval(s) for s in slopes_g)
-    if intervals.BOUNDARY in tags_f + tags_g:
+    fs = intervals.slope_feasibility([m.slope_at_zero for m in F.maps + G.maps])
+    if fs.boundary is not None:
         raise NonHyperbolicError("a slope of magnitude 0 or 1 has no interval class")
-    if len(set(tags_f + tags_g)) == 1:
-        return FeasibilityReport("conjugable", None, tags_f, tags_g)
-    return FeasibilityReport(
-        "obstructed", _obstruction_class(slopes_f + slopes_g), tags_f, tags_g
-    )
+    verdict = "conjugable" if fs.obstruction is None else "obstructed"
+    nf = len(F.maps)
+    return FeasibilityReport(verdict, fs.obstruction, fs.tags[:nf], fs.tags[nf:])
 
 
 def weak_conjugacy_linear(
@@ -466,27 +449,22 @@ def weak_conjugacy_linear(
     slope that under- or overflows the float range raises
     NumericFailureError.
     """
-    for name, ifs in (("F", F), ("G", G)):
-        for i, m in enumerate(ifs.maps):
-            if not m.is_linear:
-                raise UnsupportedMapError(
-                    f"weak_conjugacy_linear needs linear maps; {name}[{i + 1}] "
-                    f"is {m.kind!r}"
-                )
-    labeled = [(f"F[{i + 1}]", m.k) for i, m in enumerate(F.maps)]
-    labeled += [(f"G[{i + 1}]", m.k) for i, m in enumerate(G.maps)]
-    tags = [(lbl, s, intervals.classify_slope_interval(s)) for lbl, s in labeled]
-    for lbl, s, t in tags:
-        if t == intervals.BOUNDARY:
-            raise NonHyperbolicError(f"{lbl} has boundary slope {s}")
-    first = tags[0]
-    for other in tags[1:]:
-        if other[2] != first[2]:
-            raise NonConjugateError(
-                f"{first[0]} slope {first[1]} in {first[2]} vs {other[0]} "
-                f"slope {other[1]} in {other[2]}: not conjugable",
-                obstruction=_obstruction_class([s for _, s, _ in tags]),
-            )
+    labeled = [(f"{name}[{i + 1}]", m) for name, ifs in (("F", F), ("G", G))
+               for i, m in enumerate(ifs.maps)]
+    for lbl, m in labeled:
+        if not m.is_linear:
+            raise UnsupportedMapError(f"weak_conjugacy_linear needs linear maps; {lbl} is {m.kind!r}")
+    fs = intervals.slope_feasibility([m.k for _, m in labeled])
+    if fs.boundary is not None:
+        lbl, m = labeled[fs.boundary]
+        raise NonHyperbolicError(f"{lbl} has boundary slope {m.k}")
+    if fs.mismatch is not None:
+        (lbl0, m0), (lbl, m) = labeled[0], labeled[fs.mismatch]
+        raise NonConjugateError(
+            f"{lbl0} slope {m0.k} in {fs.tags[0]} vs {lbl} slope {m.k} in "
+            f"{fs.tags[fs.mismatch]}: not conjugable",
+            obstruction=fs.obstruction,
+        )
     k_star = effective_slope(F, sigma, n)
     m_star = effective_slope(G, sigma, n)
     # no slope is 0, so a product of 0 or +-inf left the float range

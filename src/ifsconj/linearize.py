@@ -36,6 +36,9 @@ from .sequences import SymbolSequence
 CASE_SAME_INTERVAL = "case1-same-interval"
 CASE_MIXED_RATIO = "case2-mixed-signs-ratio"
 CASE_INAPPLICABLE = "inapplicable"
+# the Hartman-Grobman case of a linear part, by the obstruction class of its slopes
+_HG_CASES = {None: CASE_SAME_INTERVAL, intervals.OBSTRUCTION_ATTRACT_REPEL: CASE_MIXED_RATIO,
+             intervals.OBSTRUCTION_ORIENTATION: CASE_INAPPLICABLE}
 
 FATE_CONVERGES = "converges-to-zero"
 FATE_DIVERGES = "diverges"
@@ -59,31 +62,19 @@ def linear_part(F: IfsDescriptor, fixed_point_tol: float = 1e-12) -> LinearPartR
     Every map must fix the origin; slopes of magnitude exactly 0 or 1 are
     rejected as non-hyperbolic.
     """
-    slopes = []
+    slopes = [m.slope_at_zero for m in F.maps]
+    fs = intervals.slope_feasibility(slopes)
     for i, m in enumerate(F.maps):
         v = float(m(0.0))
         if abs(v) > fixed_point_tol:
-            raise NotFixedPointError(
-                f"map {i + 1} does not fix the origin: f(0) = {v:g}"
-            )
-        s = m.slope_at_zero
-        if s == 0.0 or abs(s) == 1.0:
-            raise NonHyperbolicError(
-                f"map {i + 1} has boundary slope {s} at the origin"
-            )
-        slopes.append(s)
-    tags = tuple(intervals.classify_slope_interval(s) for s in slopes)
-    if len(set(tags)) == 1:
-        case = CASE_SAME_INTERVAL
-    elif len({s > 0 for s in slopes}) == 1:
-        case = CASE_MIXED_RATIO
-    else:
-        case = CASE_INAPPLICABLE
+            raise NotFixedPointError(f"map {i + 1} does not fix the origin: f(0) = {v:g}")
+        if i == fs.boundary:
+            raise NonHyperbolicError(f"map {i + 1} has boundary slope {slopes[i]} at the origin")
     lin = IfsDescriptor(
         tuple(linear(s) for s in slopes),
         label=(F.label + "-linear-part") if F.label else "linear-part",
     )
-    return LinearPartResult(lin, tags, case)
+    return LinearPartResult(lin, fs.tags, _HG_CASES[fs.obstruction])
 
 
 def _settled(tables, stop_tol: float, fail_tol: float, depth: int):
@@ -172,7 +163,7 @@ def koenigs_conjugacy(
     lam = f.slope_at_zero
     if abs(float(f(0.0))) > 1e-12:
         raise NotFixedPointError("Koenigs linearization needs f(0) = 0")
-    if lam == 0.0 or abs(lam) == 1.0:
+    if intervals.slope_feasibility([lam]).boundary is not None:
         raise NonHyperbolicError(f"slope {lam} at the origin is not hyperbolic")
     r = float(neighborhood_radius)
     if not r > 0:
@@ -291,15 +282,11 @@ def classify_sequence_fate(
         )
     slopes = lp.slopes
     contracting = np.abs(slopes) < 1.0
-    for i, s in enumerate(slopes):
-        if contracting[i] and abs(s) + epsilon >= 1.0:
-            raise HypothesisError(
-                f"epsilon {epsilon:g} too large: |{s:g}| + eps >= 1"
-            )
-        if not contracting[i] and abs(s) - epsilon <= 1.0:
-            raise HypothesisError(
-                f"epsilon {epsilon:g} too large: |{s:g}| - eps <= 1"
-            )
+    for s, contracts in zip(slopes, contracting):
+        if contracts and abs(s) + epsilon >= 1.0:
+            raise HypothesisError(f"epsilon {epsilon:g} too large: |{s:g}| + eps >= 1")
+        if not contracts and abs(s) - epsilon <= 1.0:
+            raise HypothesisError(f"epsilon {epsilon:g} too large: |{s:g}| - eps <= 1")
 
     syms = sigma.prefix(n_max)
     sym_contracts = contracting[syms - 1]

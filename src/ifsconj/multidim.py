@@ -20,7 +20,7 @@ from .conjugacy import (
     weak_conjugacy_linear,
 )
 from .defaults import DEFAULT_ANCHOR, DEFAULT_RADIUS
-from .errors import DimensionMismatchError, NonConjugateError
+from .errors import DimensionMismatchError, NonConjugateError, NonHyperbolicError
 from .ifs import IfsDescriptor
 from .sequences import SymbolSequence
 
@@ -145,7 +145,8 @@ def componentwise_conjugacy(
     By default every diagonal entry of every map of both families must lie
     in one slope interval (the stated hypothesis). The construction itself
     only needs agreement within each coordinate; pass per_coordinate=True to
-    opt into that weaker check.
+    opt into that weaker check. A boundary entry (0 or +-1) raises
+    NonHyperbolicError before either check.
     """
     F = list(F)
     G = list(G)
@@ -153,21 +154,25 @@ def componentwise_conjugacy(
         raise ValueError("families must have equal map counts")
     m = _common_dimension(F + G)
     entries = np.array([mp.diag for mp in F] + [mp.diag for mp in G])
-    tags = np.empty(entries.shape, dtype=object)
-    for idx, val in np.ndenumerate(entries):
-        tags[idx] = intervals.classify_slope_interval(val)
+    pooled = intervals.slope_feasibility(entries.ravel())
+    if pooled.boundary is not None:
+        j, i = divmod(pooled.boundary, m)
+        name = f"F[{j + 1}]" if j < len(F) else f"G[{j - len(F) + 1}]"
+        raise NonHyperbolicError(
+            f"{name} has boundary diagonal entry {entries[j, i]} in coordinate {i + 1}"
+        )
     for i in range(m):
-        col = set(tags[:, i])
-        if len(col) > 1:
+        col = intervals.slope_feasibility(entries[:, i])
+        if col.mismatch is not None:
             raise NonConjugateError(
-                f"coordinate {i + 1} mixes slope intervals {sorted(col)}",
-                obstruction="coordinate-interval-mix",
+                f"coordinate {i + 1} mixes slope intervals {sorted(set(col.tags))}",
+                obstruction=intervals.OBSTRUCTION_COORDINATE_MIX,
             )
-    if not per_coordinate and len(set(tags.ravel())) > 1:
+    if not per_coordinate and pooled.mismatch is not None:
         raise NonConjugateError(
             "diagonal entries span several slope intervals across coordinates; "
             "per-coordinate agreement holds, pass per_coordinate=True to use it",
-            obstruction="pooled-interval-mix",
+            obstruction=intervals.OBSTRUCTION_POOLED_MIX,
         )
     components = []
     for i in range(m):
@@ -285,13 +290,10 @@ def similarity_conjugacy(
     m = S.dimension
     if X.shape != (m,):
         raise DimensionMismatchError(f"X must have shape ({m},)")
-    syms = _prefix_for(S.base, sigma, n)
-    table = np.array([d.diag for d in S.base])
-    products = np.prod(table[syms - 1], axis=0)
-    lhs = S.A @ (products * X)
+    lhs = S.A @ diag_compose(S.base, sigma, n, X)
     conjugated = S.conjugated_maps()
     rhs = S.A @ X
-    for s in syms:
+    for s in _prefix_for(S.base, sigma, n):
         rhs = conjugated[s - 1] @ rhs
     cond = float(np.linalg.cond(S.A))
     warning = (

@@ -149,9 +149,7 @@ def ifs_distance(
     profiles = _profiles((*F.maps, *G.maps), grid_size, radius)
     n = len(F.maps)
     pfs, pgs = profiles[:n], profiles[n:]
-    d0 = -1.0
-    d1 = -1.0
-    best = -1.0
+    d0 = d1 = best = -1.0
     best_pair = None
     for i, pf in enumerate(pfs):
         for j, pg in enumerate(pgs):
@@ -162,9 +160,7 @@ def ifs_distance(
             if val > best:
                 best = val
                 best_pair = (i + 1, j + 1)
-    if level == 1:
-        return IfsDistanceReport(d0, d1, best_pair, False)
-    return IfsDistanceReport(d0, None, best_pair, False)
+    return IfsDistanceReport(d0, d1 if level == 1 else None, best_pair, False)
 
 
 @dataclass(frozen=True)
@@ -208,10 +204,7 @@ def _fixed_points_of(f: ScalarMap, radius: float, grid: int) -> list[float]:
             "f(x) - x vanishes identically on a subinterval; "
             "a continuum of fixed points is never hyperbolic"
         )
-    roots: list[float] = []
-    exact = np.flatnonzero(flat)
-    for idx in exact:
-        roots.append(float(xs[idx]))
+    roots = [float(x) for x in xs[flat]]
     sign_change = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
     for idx in sign_change:
         lo, hi = float(xs[idx]), float(xs[idx + 1])

@@ -46,6 +46,23 @@ def test_missing_field_rejected():
     assert err.value.field == "map.k"
 
 
+@pytest.mark.parametrize("obj, field", [
+    ({"kind": "linear", "k": float("nan")}, "f.k"),
+    ({"kind": "linear", "k": float("inf")}, "f.k"),
+    ({"kind": "smooth", "name": "rational-quadratic", "k": -float("inf"), "c": 0.1}, "f.k"),
+    ({"kind": "smooth", "name": "rational-quadratic", "k": 0.5, "c": float("nan")}, "f.c"),
+    ({"kind": "linear+lipschitz", "k": float("nan"),
+      "perturbation": {"shape": "sine", "amplitude": 0.1, "lipschitz": 0.1}}, "f.k"),
+    ({"kind": "linear+lipschitz", "k": 0.5,
+      "perturbation": {"shape": "sine", "amplitude": float("nan"), "lipschitz": 0.1}},
+     "f.perturbation.amplitude"),
+])
+def test_non_finite_map_coefficient_names_its_field(obj, field):
+    with pytest.raises(SchemaError, match=f"^{field} must be finite$") as err:
+        config.parse_map(obj, "f")
+    assert err.value.field == field
+
+
 def test_bad_kind_rejected():
     with pytest.raises(SchemaError):
         config.parse_map({"kind": "cubic", "k": 0.5})

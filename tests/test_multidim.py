@@ -11,7 +11,7 @@ from ifsconj import (
     compose_orbit,
     linear,
 )
-from ifsconj.errors import DimensionMismatchError, NonConjugateError
+from ifsconj.errors import DimensionMismatchError, NonConjugateError, NonHyperbolicError
 from ifsconj.multidim import (
     ComponentwiseHomeomorphism,
     DiagonalMap,
@@ -108,6 +108,22 @@ def test_componentwise_interval_mix_rejected():
     with pytest.raises(NonConjugateError) as err:
         componentwise_conjugacy(F, G, ExplicitSequence((1, 2)), 2)
     assert "coordinate 1" in str(err.value)
+
+
+@pytest.mark.parametrize("per_coordinate", [False, True])
+def test_componentwise_boundary_entry_raises_before_any_mix(per_coordinate):
+    # coordinate 1 is the boundary slope 1.0 in both families; coordinate 2
+    # differs from it, which a mix check that ran first reported as pooled
+    F = [DiagonalMap((1.0, 0.5))]
+    with pytest.raises(NonHyperbolicError, match=r"^F\[1\] has boundary diagonal "
+                       r"entry 1\.0 in coordinate 1$"):
+        componentwise_conjugacy(F, F, ExplicitSequence((1,), (1,)), 1,
+                                per_coordinate=per_coordinate)
+    # a boundary entry of G wins over the sign mix in coordinate 1 too
+    F, G = [DiagonalMap((0.5, 0.5))], [DiagonalMap((-0.5, 0.0))]
+    with pytest.raises(NonHyperbolicError, match=r"^G\[1\] .* 0\.0 in coordinate 2$"):
+        componentwise_conjugacy(F, G, ExplicitSequence((1,), (1,)), 1,
+                                per_coordinate=per_coordinate)
 
 
 def test_componentwise_pooled_hypothesis_and_opt_out():
