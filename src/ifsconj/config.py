@@ -149,7 +149,7 @@ def parse_map(obj, ctx: str = "map", allow_affine: bool = False):
                     field=f"{ctx}.kind",
                 )
             check_keys(obj, ctx, {"kind": str, "k": float, "b": float})
-            return AffineMap(number_field(obj, ctx, "k"), number_field(obj, ctx, "b"))
+            return AffineMap(_finite_field(obj, ctx, "k"), _finite_field(obj, ctx, "b"))
     except ValueError as exc:
         raise SchemaError(f"{ctx}: {exc}", field=ctx) from exc
     raise SchemaError(f"{ctx}.kind {kind!r} not recognized", field=f"{ctx}.kind")
@@ -205,7 +205,10 @@ def parse_diagonal_maps(obj, dimension: int, ctx: str = "maps") -> list[Diagonal
     for i, entry in enumerate(obj):
         mctx = f"{ctx}[{i}]"
         check_keys(entry, mctx, {"diag": list})
-        out.append(DiagonalMap(tuple(parse_vector(entry["diag"], dimension, f"{mctx}.diag"))))
+        diag = parse_vector(entry["diag"], dimension, f"{mctx}.diag")
+        if not all(map(math.isfinite, diag)):
+            raise SchemaError(f"{mctx}.diag must be finite", field=f"{mctx}.diag")
+        out.append(DiagonalMap(tuple(diag)))
     return out
 
 

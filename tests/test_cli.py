@@ -242,6 +242,27 @@ def test_non_finite_slope_exit_1_names_field(tmp_path, capsys):
     assert capsys.readouterr().err == "ifsconj conjugacy: f.k must be finite\n"
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("family", ["maps", "g_maps"])
+def test_multidim_non_finite_diagonal_exit_1_names_field(tmp_path, capsys, family, value):
+    doc = {**COMPONENTWISE_DOC, family: [{"diag": [0.5, 0.3]}, {"diag": [0.25, value]}]}
+    inp = write(tmp_path, "diag.json", doc)
+    assert main(["multidim", "--input", inp]) == 1
+    assert capsys.readouterr().err == (
+        f"ifsconj multidim: {family}[1].diag must be finite\n"
+    )
+
+
+@pytest.mark.parametrize("field", ["k", "b"])
+def test_attractor_non_finite_affine_exit_1_names_field(tmp_path, capsys, field):
+    doc = {**ATTRACTOR_DOC, "maps": [{"kind": "affine", "k": 0.5, "b": 0.1, field: float("nan")}]}
+    inp = write(tmp_path, "affine.json", doc)
+    assert main(["attractor", "--input", inp]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"ifsconj attractor: maps[0].{field} must be finite\n"
+    assert captured.out == ""
+
+
 def test_classify_command(tmp_path):
     doc = {
         "maps": [{"kind": "linear", "k": 0.5}, {"kind": "linear", "k": 2.0}],
@@ -302,6 +323,23 @@ def test_multidim_componentwise(tmp_path):
     out = str(tmp_path / "cw-report.json")
     assert main(["multidim", "--input", inp, "--output", out]) == 0
     rep = read_report(out)
+    assert rep["report"]["residual"] <= 1e-8
+
+
+def test_multidim_componentwise_dimension_6(tmp_path):
+    # 17**6 = 2.4e7 box points; the residual is taken on the 17 axis points
+    doc = {
+        "dimension": 6,
+        "maps": [{"diag": [0.5, 0.3, 0.7, 0.2, 0.6, 0.4]}, {"diag": [0.25, 0.6, 0.1, 0.8, 0.3, 0.5]}],
+        "g_maps": [{"diag": [0.4, 0.2, 0.6, 0.3, 0.5, 0.7]}, {"diag": [0.35, 0.5, 0.2, 0.9, 0.1, 0.4]}],
+        "sequence": {"type": "explicit", "symbols": [1, 2, 2]},
+        "n": 3,
+    }
+    inp = write(tmp_path, "cw6.json", doc)
+    out = str(tmp_path / "cw6-report.json")
+    assert main(["multidim", "--input", inp, "--output", out]) == 0
+    rep = read_report(out)
+    assert rep["report"]["grid_per_axis"] == 17
     assert rep["report"]["residual"] <= 1e-8
 
 

@@ -73,6 +73,11 @@ def test_affine_gate():
         config.parse_map({"kind": "affine", "k": 0.3, "b": 0.1})
     m = config.parse_map({"kind": "affine", "k": 0.3, "b": 0.1}, allow_affine=True)
     assert isinstance(m, AffineMap)
+    for key in ("k", "b"):
+        obj = {"kind": "affine", "k": 0.3, "b": 0.1, key: float("nan")}
+        with pytest.raises(SchemaError, match=f"^f.{key} must be finite$") as err:
+            config.parse_map(obj, "f", allow_affine=True)
+        assert err.value.field == f"f.{key}"
 
 
 def test_parse_sequences():
@@ -124,6 +129,10 @@ def test_parse_diagonal_maps():
         config.parse_diagonal_maps([{"diag": [0.5]}], 2)
     with pytest.raises(SchemaError):
         config.parse_diagonal_maps([{"diag": [0.5, 0.2], "name": "A"}], 2)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(SchemaError, match=r"^maps\[0\]\.diag must be finite$") as err:
+            config.parse_diagonal_maps([{"diag": [bad, 0.5]}], 2)
+        assert err.value.field == "maps[0].diag"
 
 
 def test_parse_matrix():

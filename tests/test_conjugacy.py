@@ -29,7 +29,6 @@ from ifsconj.conjugacy import (
     FundamentalDomainConjugacy,
     PowerLawHomeomorphism,
     TabulatedHomeomorphism,
-    locate_fundamental_exponent,
 )
 from ifsconj.errors import (
     InversionRangeError,
@@ -37,6 +36,8 @@ from ifsconj.errors import (
     NonHyperbolicError,
     NumericFailureError,
 )
+
+from exponent_reference import locate_fundamental_exponent
 
 
 def grid(lo=-10.0, hi=10.0, n=1001):

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from ifsconj import _kernels as K
 from ifsconj import catalog
 from ifsconj.catalog import linear, linear_plus_lipschitz, rational_bump, sine_bump, smooth
-from ifsconj.conjugacy import locate_fundamental_exponent
+
+from exponent_reference import locate_fundamental_exponent
 
 
 def all_pairs_quotient_max(xs, fx):

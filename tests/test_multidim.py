@@ -1,8 +1,12 @@
 """Diagonal families on R^m: composition, componentwise and similarity
 conjugacies."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ifsconj import (
     BernoulliSequence,
@@ -11,12 +15,19 @@ from ifsconj import (
     compose_orbit,
     linear,
 )
-from ifsconj.errors import DimensionMismatchError, NonConjugateError, NonHyperbolicError
+from ifsconj.conjugacy import BRIDGE_LINEAR, BRIDGE_POWER_LAW
+from ifsconj.errors import (
+    DimensionMismatchError,
+    NonConjugateError,
+    NonHyperbolicError,
+    NumericFailureError,
+)
 from ifsconj.multidim import (
     ComponentwiseHomeomorphism,
     DiagonalMap,
     LinearChangeOfBasis,
     SimilarityIfs,
+    _residual_at,
     componentwise_conjugacy,
     componentwise_residual,
     diag_compose,
@@ -80,19 +91,73 @@ def test_componentwise_conjugacy_residual():
 
 
 def test_componentwise_high_dimension_spot_check():
-    from ifsconj.multidim import componentwise_residual_sampled
-
     rng = np.random.default_rng(41)
     m = 4
     F = [DiagonalMap(tuple(rng.uniform(0.2, 0.8, m))) for _ in range(2)]
     G = [DiagonalMap(tuple(rng.uniform(0.2, 0.8, m))) for _ in range(2)]
     sig = BernoulliSequence(0.5, seed=14)
     h = componentwise_conjugacy(F, G, sig, 4)
-    assert componentwise_residual_sampled(F, G, h, sig, 4, points=10_000) <= 1e-8
-    with pytest.raises(ValueError):
-        big = [DiagonalMap(tuple(rng.uniform(0.2, 0.8, 9))) for _ in range(2)]
-        hb = componentwise_conjugacy(big, big, sig, 2)
-        componentwise_residual(big, big, hb, sig, 2)
+    assert componentwise_residual(F, G, h, sig, 4) <= 1e-8
+    # no dimension cap: a 9-D family reports its residual
+    big = [DiagonalMap(tuple(rng.uniform(0.2, 0.8, 9))) for _ in range(2)]
+    hb = componentwise_conjugacy(big, big, sig, 2)
+    assert componentwise_residual(big, big, hb, sig, 2, grid_per_axis=5) <= 1e-8
+
+
+def _box_residual(F, G, h, sigma, n, grid_per_axis, radius):
+    """Reference: the residual on the full grid_per_axis**m box."""
+    m = F[0].dimension
+    axes = [np.linspace(-radius, radius, grid_per_axis)] * m
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
+    return _residual_at(F, G, h, sigma, n, mesh)
+
+
+def _outcome(fn):
+    try:
+        return ("value", fn())
+    except Exception as exc:  # a typed error, or a RuntimeWarning turned into one
+        return ("error", type(exc), str(exc))
+
+
+@st.composite
+def _diagonal_families(draw):
+    m = draw(st.integers(1, 4))
+    maps = draw(st.integers(1, 2))
+    # one slope interval per coordinate: sign and contractive or expansive
+    classes = [(draw(st.sampled_from((-1.0, 1.0))), draw(st.booleans())) for _ in range(m)]
+
+    def entry(sign, expansive):
+        u = draw(st.floats(0.05, 0.95))
+        return sign * (1.0 / u if expansive else u)
+
+    F = [DiagonalMap(tuple(entry(*c) for c in classes)) for _ in range(maps)]
+    G = [DiagonalMap(tuple(entry(*c) for c in classes)) for _ in range(maps)]
+    n = draw(st.integers(1, 60))
+    symbols = draw(st.lists(st.integers(1, maps), min_size=n, max_size=n))
+    sigma = ExplicitSequence(tuple(symbols), tuple(range(1, maps + 1)))
+    # the 33**4 box takes about a second and 250 MB, so m = 4 stops at 17
+    grid = draw(st.sampled_from((5, 17, 33) if m < 4 else (5, 17)))
+    return F, G, sigma, n, grid
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _diagonal_families(),
+    st.sampled_from((BRIDGE_LINEAR, BRIDGE_POWER_LAW)),
+    st.floats(1e-3, 1e150),
+)
+def test_componentwise_residual_on_axis_points_equals_box(families, bridge, radius):
+    F, G, sigma, n, grid = families
+    try:
+        h = componentwise_conjugacy(F, G, sigma, n, bridge=bridge, per_coordinate=True)
+    except NumericFailureError:
+        assume(False)
+    axis = _outcome(lambda: componentwise_residual(F, G, h, sigma, n, grid, radius))
+    box = _outcome(lambda: _box_residual(F, G, h, sigma, n, grid, radius))
+    if axis[0] == box[0] == "value" and math.isnan(axis[1]):
+        assert math.isnan(box[1])
+    else:
+        assert axis == box
 
 
 def test_componentwise_identity():
