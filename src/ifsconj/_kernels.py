@@ -32,7 +32,10 @@ _QUOTIENTS = (MAP_RATIONAL, MAP_SMOOTH_RQ)  # maps whose term has 1 + x*x below
 
 
 # ---------------------------------------------------------------------------
-# orbit chain: x_{t+1} = f_{sym_t}(x_t), full trajectory returned
+# orbit chain: x_{t+1} = f_{sym_t}(x_t), full trajectory returned. Catalog
+# maps without an offset share the fixed point 0, where a contractive orbit
+# arrives, through the subnormals, in about 1000 steps and stays; the loop
+# stops there and the zeros of the rest are written in numpy
 # ---------------------------------------------------------------------------
 
 def pack_rows(rows):
@@ -44,17 +47,18 @@ def pack_rows(rows):
     return codes, ks, cs, bs
 
 
-def _retake(rows, syms, buf, x0, t, x):
-    """x_t, where step t - 1 of the orbit gave the non-finite x.
+def _retake(row, buf, x0, t, x):
+    """x_t, where step t - 1 of the orbit, by the map of row, gave the
+    non-finite x (row is None at t = 0).
 
     A rational or smooth step, whose input y is finite, is taken again as
     catalog takes it and written to buf: the near quotient where its
     numerator and denominator are finite, else the form in 1/y
     (catalog._rational_far, _smooth_far).
     """
-    if not t or rows[syms[t - 1]][0] not in _QUOTIENTS:
+    if row is None or row[0] not in _QUOTIENTS:
         return x
-    code, k, c, _ = rows[syms[t - 1]]
+    code, k, c, _ = row
     y = buf[t - 2] if t > 1 else x0
     rational = code == MAP_RATIONAL
     num, den = (c * y if rational else c * y * y), 1.0 + y * y
@@ -63,6 +67,51 @@ def _retake(rows, syms, buf, x0, t, x):
     else:
         x = buf[t - 1] = k * y + (c / (y + 1.0 / y) if rational else c / (1.0 + 1.0 / (y * y)))
     return x
+
+
+def _step(code, k, c, b, x):
+    """One step of the orbit loop, which inlines it."""
+    if code == MAP_LINEAR:
+        return k * x + b
+    if code == MAP_SINE:
+        return k * x + c * math.sin(x)
+    if code == MAP_RATIONAL:
+        return k * x + c * x / (1.0 + x * x)
+    return k * x + c * x * x / (1.0 + x * x)
+
+
+def _zero_signs(maps):
+    """The sign bits of each map's step at +0 and at -0, as two bool arrays,
+    or None unless every step of a zero is a zero (a nan slope's is nan)."""
+    images = np.array([[_step(*m, z) for z in (0.0, -0.0)] for m in maps]).reshape(-1, 2)
+    if not (images == 0.0).all():
+        return None
+    negative = np.signbit(images)
+    return negative[:, 0], negative[:, 1]
+
+
+def _zero_tail(out, symbols, at_pos, at_neg, x):
+    """Write the orbit of the zero x under symbols into out.
+
+    On {+0, -0} each map keeps the sign, flips it or sends both zeros to one
+    (at_pos[s], at_neg[s]: the sign bits of map s at +0 and -0). So a step
+    gives the zero of the last constant map up to it, or x where there is
+    none, negated once for each flipping map since.
+    """
+    const = at_pos == at_neg
+    flips = at_pos & ~at_neg
+    if not flips.any() and (at_pos[const] == np.signbit(x)).all():
+        out[:] = x
+        return
+    # 1 + the index of the last constant step up to each step, 0 before the first
+    last = np.maximum.accumulate(np.arange(1, symbols.size + 1) * const[symbols])
+    np.take(np.concatenate(([x], np.where(at_pos, -0.0, 0.0)[symbols])), last, out=out)
+    if flips.any():
+        count = np.concatenate(([0], np.cumsum(flips[symbols])))
+        np.negative(out, out=out, where=(count[1:] - count[last]) % 2 == 1)
+
+
+_BLOCK = 1024  # loop steps between the checks for an orbit at zero
 
 
 def orbit_chain(codes, ks, cs, bs, symbols, x0):
@@ -75,35 +124,44 @@ def orbit_chain(codes, ks, cs, bs, symbols, x0):
     where only 1 + x*x overflows (at most about 1 in size): its row holds a
     nan slope. Once the orbit is non-finite, the rest of the trajectory
     holds that non-finite value.
+
+    The loop runs in blocks of _BLOCK steps. When a block leaves the orbit
+    at +-0 and every map sends both zeros to zeros, as every catalog map
+    without an offset does, the orbit stays on {+0, -0}, and _zero_tail
+    writes the rest of it, sign bits included, in a few numpy passes.
+    Which maps do is found only then, so a short orbit pays nothing for it.
     """
-    out = np.empty(symbols.shape[0], dtype=np.float64)
+    n = symbols.shape[0]
+    out = np.empty(n, dtype=np.float64)
     rows = [(int(code), float(k), float(c), float(b)) for code, k, c, b in zip(codes, ks, cs, bs)]
     maps = [(code, math.nan if code in _QUOTIENTS and abs(k) < 1e-130 else k, c, b)
             for code, k, c, b in rows]
-    syms = symbols.tolist()
     isfinite, sin = math.isfinite, math.sin
     x0 = x = float(x0)
     # a memoryview stores a Python float into out faster than ndarray indexing
     with memoryview(out) as buf:
-        for t, s in enumerate(syms):
-            if not isfinite(x):
-                x = _retake(rows, syms, buf, x0, t, x)
+        for start in range(0, n, _BLOCK):
+            if start and x == 0.0 and (signs := _zero_signs(maps)) is not None:
+                _zero_tail(out[start:], symbols[start:], *signs, x)
+                return out
+            for t, s in enumerate(symbols[start:start + _BLOCK].tolist(), start):
                 if not isfinite(x):
-                    out[t:] = x
-                    break
-            code, k, c, b = maps[s]
-            if code == MAP_LINEAR:
-                x = k * x + b
-            elif code == MAP_SINE:
-                x = k * x + c * sin(x)
-            elif code == MAP_RATIONAL:
-                x = k * x + c * x / (1.0 + x * x)
-            else:
-                x = k * x + c * x * x / (1.0 + x * x)
-            buf[t] = x
-        else:
-            if not isfinite(x):
-                _retake(rows, syms, buf, x0, len(syms), x)
+                    x = _retake(rows[symbols[t - 1]] if t else None, buf, x0, t, x)
+                    if not isfinite(x):
+                        out[t:] = x
+                        return out
+                code, k, c, b = maps[s]
+                if code == MAP_LINEAR:
+                    x = k * x + b
+                elif code == MAP_SINE:
+                    x = k * x + c * sin(x)
+                elif code == MAP_RATIONAL:
+                    x = k * x + c * x / (1.0 + x * x)
+                else:
+                    x = k * x + c * x * x / (1.0 + x * x)
+                buf[t] = x
+        if n and not isfinite(x):
+            _retake(rows[symbols[n - 1]], buf, x0, n, x)
     return out
 
 

@@ -43,11 +43,8 @@ def _quotient(near, far, c, x):
     nan or a warning. c is a scalar or a column of x's rows.
     """
     if type(x) is float:
-        # Python floats overflow silently, except in ** (OverflowError)
-        try:
-            num, den = near(c, x)
-        except OverflowError:
-            return far(c, x)
+        # Python floats overflow silently
+        num, den = near(c, x)
         return num / den if math.isfinite(num) and math.isfinite(den) else far(c, x)
     try:
         return _near_or_raise(near, c, x)
@@ -68,7 +65,9 @@ def _quotient(near, far, c, x):
 # the _quotient forms of c*x/(1 + x*x), the rational bump, and of its
 # derivative c*(1 - x*x)/(1 + x*x)**2; of c*x*x/(1 + x*x), the smooth term, and
 # of its derivative c*2*x/(1 + x*x)**2. A near form keeps the operation order
-# of the bits pinned below the overflow; a far form is exact algebra in 1/x
+# of the bits pinned below the overflow; a far form is exact algebra in 1/x.
+# A square is a product, which rounds a Python float as numpy rounds an array
+# entry (Python's ** is C pow)
 
 def _rational_near(c, x):
     return c * x, 1.0 + x * x
@@ -80,12 +79,15 @@ def _rational_far(c, x):
 
 def _rational_slope_near(c, x):
     xx = x * x
-    return c * (1.0 - xx), (1.0 + xx) ** 2
+    den = 1.0 + xx
+    return c * (1.0 - xx), den * den
 
 
 def _rational_slope_far(c, x):
-    uu = (1.0 / x) ** 2
-    return c * ((uu - 1.0) * uu) / (1.0 + uu) ** 2
+    u = 1.0 / x
+    uu = u * u
+    den = 1.0 + uu
+    return c * ((uu - 1.0) * uu) / (den * den)
 
 
 def _smooth_near(c, x):
@@ -98,14 +100,15 @@ def _smooth_far(c, x):
 
 
 def _smooth_slope_near(c, x):
-    xx = x * x
-    return c * 2.0 * x, (1.0 + xx) ** 2
+    den = 1.0 + x * x
+    return c * 2.0 * x, den * den
 
 
 def _smooth_slope_far(c, x):
     u = 1.0 / x
     uu = u * u
-    return c * 2.0 * (u * uu) / (1.0 + uu) ** 2
+    den = 1.0 + uu
+    return c * 2.0 * (u * uu) / (den * den)
 
 
 def _bump(shape: str, amplitude, x):

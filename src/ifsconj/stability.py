@@ -396,16 +396,21 @@ def perturbation_probe(
     GenerationError before a round that could pass it.
 
     F itself must have hyperbolic fixed points and all its maps in one
-    slope interval, else HypothesisError.
+    slope interval, else HypothesisError; a slope of 0 or +-1 at the origin
+    raises NonHyperbolicError, as in same_interval_test, unless the audit
+    already raised ContinuumOfFixedPointsError.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     if trials < 0:
         raise ValueError("trials must be >= 0")
     audit = hyperbolicity_audit(F, radius)
+    # a slope of 0 or +-1 at the origin raises NonHyperbolicError here, also
+    # where the audit found that fixed point non-hyperbolic (a slope of -1)
+    feasible = same_interval_test(F, F).conjugable
     if not audit.all_hyperbolic:
         raise HypothesisError("probe requires every fixed point hyperbolic")
-    if not same_interval_test(F, F).conjugable:
+    if not feasible:
         # the pooled interval test of F and a candidate could never pass
         raise HypothesisError("probe requires the maps of F in one slope interval")
     if trials == 0:

@@ -477,6 +477,21 @@ def test_probe_mixed_intervals_exits_1(tmp_path, capsys):
     assert captured.out == ""
 
 
+# the slope test runs before the audit's verdict: a slope of -1, a
+# non-hyperbolic fixed point at 0, exited 1 with the audit's HypothesisError
+@pytest.mark.parametrize("k, reason", [
+    (-1.0, "a slope of magnitude 0 or 1 has no interval class"),
+    (0.0, "a slope of magnitude 0 or 1 has no interval class"),
+    (1.0, "f(x) - x vanishes identically on a subinterval; "
+          "a continuum of fixed points is never hyperbolic"),
+])
+def test_probe_boundary_slope_exits_2(tmp_path, capsys, k, reason):
+    inp = write(tmp_path, "boundary.json", {"maps": [{"kind": "linear", "k": k}]})
+    assert main(["probe", "--input", inp]) == 2
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report == {"obstruction": None, "reason": reason, "verdict": "obstructed"}
+
+
 def test_probe_csv_unsupported(tmp_path, capsys):
     doc = {"maps": [{"kind": "linear", "k": 0.5}]}
     inp = write(tmp_path, "p.json", doc)

@@ -416,6 +416,44 @@ def test_orbit_chain_bit_identical_to_loop(name, n):
         assert got.tobytes() == ref.tobytes(), x0
 
 
+def signed(lo, hi):
+    return st.builds(lambda sign, v: sign * v, st.sampled_from([1.0, -1.0]), st.floats(lo, hi))
+
+
+# a contractive row: at +-0 it keeps the sign, flips it or gives one zero,
+# as the signs of k, c and b decide
+ZERO_ROWS = st.tuples(st.integers(0, 3), signed(0.05, 0.6), signed(0.0, 0.3),
+                      st.sampled_from([0.0, -0.0, 0.25]))
+EDGE_LENGTHS = [K._BLOCK - 1, K._BLOCK, K._BLOCK + 1, 2 * K._BLOCK - 1, 2 * K._BLOCK,
+                2 * K._BLOCK + 1, 3 * K._BLOCK + 17]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(ZERO_ROWS, min_size=1, max_size=4), n=st.sampled_from(EDGE_LENGTHS),
+       seed=st.integers(0, 2**32 - 1))
+def test_orbit_chain_zero_tail_bit_identical_to_loop(rows, n, seed):
+    codes, ks, cs, bs = K.pack_rows(rows)
+    symbols = np.random.default_rng(seed).integers(0, len(rows), n)
+    for x0 in [0.0, -0.0, 5e-324, -5e-324, 0.7, -3.0, 1e300, math.inf, -math.inf, math.nan]:
+        got = K.orbit_chain(codes, ks, cs, bs, symbols, x0)
+        assert got.tobytes() == orbit_chain_loop(codes, ks, cs, bs, symbols, x0).tobytes(), x0
+
+
+def test_orbit_chain_zero_tail_of_the_attractor_family():
+    # the rational map keeps -0 and the smooth map sends it to +0: 2048
+    # rational steps leave the orbit from -3 at -0 at a block edge, and the
+    # zero tail meets the smooth map there
+    rows = [smooth(0.5, 0.05).kernel_row(), linear_plus_lipschitz(0.4, rational_bump(0.1)).kernel_row()]
+    codes, ks, cs, bs = K.pack_rows(rows)
+    rng = np.random.default_rng(17)
+    symbols = np.concatenate([np.ones(2 * K._BLOCK, dtype=np.int64), rng.integers(0, 2, 200_000 - 2 * K._BLOCK)])
+    got = K.orbit_chain(codes, ks, cs, bs, symbols, -3.0)
+    assert got.tobytes() == orbit_chain_loop(codes, ks, cs, bs, symbols, -3.0).tobytes()
+    edge = got[2 * K._BLOCK - 1]
+    assert edge == 0.0 and np.signbit(edge)
+    assert got[-1] == 0.0 and not np.signbit(got[-1])
+
+
 @settings(max_examples=150, deadline=None)
 @given(k=st.floats(1.5, 4.0), log_c=st.floats(-12.0, 250.0), rational=st.booleans(),
        x0=st.floats(0.5, 10.0), sign=st.sampled_from([1.0, -1.0]))

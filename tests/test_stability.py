@@ -38,6 +38,7 @@ from ifsconj.errors import (
     HypothesisError,
     IfsConjError,
     InvertibilityError,
+    NonHyperbolicError,
     NumericFailureError,
 )
 from ifsconj.ifs import effective_slope
@@ -178,8 +179,18 @@ def test_probe_zero_trials_vacuous():
 
 
 def test_probe_requires_hyperbolic_family():
+    # 0.5x + c*sin(x) is expansive at 0, and f' = -1 at its fixed points
+    # +-2.4556, which the audit finds by their sign change
+    F = IfsDescriptor((linear_plus_lipschitz(0.5, sine_bump(1.9384392421028742)),))
+    with pytest.raises(HypothesisError, match="every fixed point hyperbolic"):
+        perturbation_probe(F, 0.01, 5, seed=1)
+
+
+def test_probe_boundary_slope_at_origin_is_non_hyperbolic():
+    # f'(0) = 0.7 + 0.3 = 1: the slope test raises before the audit's
+    # verdict is read, as for a slope of 0 or -1 (this was a HypothesisError)
     F = IfsDescriptor((linear_plus_lipschitz(0.7, rational_bump(0.3)),))
-    with pytest.raises(HypothesisError):
+    with pytest.raises(NonHyperbolicError):
         perturbation_probe(F, 0.01, 5, seed=1)
 
 
