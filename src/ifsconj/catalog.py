@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import DomainEscapeError
 
 KIND_LINEAR = "linear"
 KIND_LIPSCHITZ = "linear+lipschitz"
@@ -161,18 +160,14 @@ class Perturbation:
 
 @dataclass(frozen=True)
 class ScalarMap:
-    """A map from the closed catalog, callable on scalars and arrays.
-
-    domain is either None (all of R) or a closed interval; out-of-domain
-    evaluation raises DomainEscapeError.
-    """
+    """A map from the closed catalog, callable on scalars and arrays; it acts
+    on all of R."""
 
     kind: str
     k: float
     perturbation: Perturbation | None = None
     name: str | None = None
     c: float = 0.0
-    domain: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.kind not in (KIND_LINEAR, KIND_LIPSCHITZ, KIND_SMOOTH):
@@ -181,8 +176,6 @@ class ScalarMap:
             raise ValueError("linear+lipschitz map needs a perturbation")
         if self.kind == KIND_SMOOTH and self.name != SMOOTH_RATIONAL_QUADRATIC:
             raise ValueError(f"unknown smooth catalog entry {self.name!r}")
-        if self.domain is not None and not self.domain[0] < self.domain[1]:
-            raise ValueError("domain interval is degenerate")
         # (bump shape, coefficient) of the term added to k*x, read on every
         # call: the bump's shape and amplitude, or (None, c) for the smooth
         # and linear kinds
@@ -195,7 +188,6 @@ class ScalarMap:
     # -- evaluation -------------------------------------------------------
 
     def __call__(self, x):
-        self._check_domain(x)
         shape, c = self._term
         return _value(self.kind, shape, self.k, c, x)
 
@@ -246,16 +238,6 @@ class ScalarMap:
         eps = self.perturbation.lipschitz if self.perturbation is not None else 0.0
         return abs(self.k) + eps
 
-    def _check_domain(self, x):
-        if self.domain is None:
-            return
-        lo, hi = self.domain
-        arr = np.asarray(x)
-        outside = (arr < lo) | (arr > hi)
-        if np.any(outside):
-            bad = float(arr.ravel()[np.argmax(outside)])
-            raise DomainEscapeError(f"value {bad} outside map domain [{lo}, {hi}]", value=bad)
-
     # -- kernel encoding ---------------------------------------------------
 
     def kernel_row(self) -> tuple[int, float, float, float]:
@@ -269,36 +251,31 @@ class ScalarMap:
 
 
 class MapStack:
-    """Catalog maps of one kind, bump shape and domain, evaluated row by row.
+    """Catalog maps of one kind and bump shape, evaluated row by row.
 
     Called on a (rows, n) array, it maps row r through maps[r] with the
     arithmetic of ScalarMap.__call__, so each row carries the bits its map
-    gives alone. A row evaluated outside the domain is marked in escaped
-    instead of raising DomainEscapeError, so the other rows go on.
+    gives alone.
     """
 
     def __init__(self, maps):
-        kinds = {(m.kind, m._term[0], m.domain) for m in maps}
+        kinds = {(m.kind, m._term[0]) for m in maps}
         if len(kinds) != 1:
-            raise ValueError("a map stack needs maps of one kind, bump shape and domain")
-        (self.kind, self.shape, self.domain), = kinds
+            raise ValueError("a map stack needs maps of one kind and bump shape")
+        (self.kind, self.shape), = kinds
         self.k = np.array([[m.k] for m in maps])
         self.c = np.array([[m._term[1]] for m in maps])
-        self.escaped = np.zeros(len(maps), dtype=bool)
 
     def __call__(self, x):
-        if self.domain is not None:
-            lo, hi = self.domain
-            self.escaped |= np.any((x < lo) | (x > hi), axis=1)
         return _value(self.kind, self.shape, self.k, self.c, x)
 
 
-def linear(k: float, domain=None) -> ScalarMap:
-    return ScalarMap(KIND_LINEAR, float(k), domain=domain)
+def linear(k: float) -> ScalarMap:
+    return ScalarMap(KIND_LINEAR, float(k))
 
 
-def linear_plus_lipschitz(k: float, perturbation: Perturbation, domain=None) -> ScalarMap:
-    return ScalarMap(KIND_LIPSCHITZ, float(k), perturbation=perturbation, domain=domain)
+def linear_plus_lipschitz(k: float, perturbation: Perturbation) -> ScalarMap:
+    return ScalarMap(KIND_LIPSCHITZ, float(k), perturbation=perturbation)
 
 
 def sine_bump(amplitude: float, lipschitz: float | None = None) -> Perturbation:
@@ -309,8 +286,8 @@ def rational_bump(amplitude: float, lipschitz: float | None = None) -> Perturbat
     return Perturbation(SHAPE_RATIONAL, float(amplitude), float(abs(amplitude) if lipschitz is None else lipschitz))
 
 
-def smooth(k: float, c: float, name: str = SMOOTH_RATIONAL_QUADRATIC, domain=None) -> ScalarMap:
-    return ScalarMap(KIND_SMOOTH, float(k), name=name, c=float(c), domain=domain)
+def smooth(k: float, c: float, name: str = SMOOTH_RATIONAL_QUADRATIC) -> ScalarMap:
+    return ScalarMap(KIND_SMOOTH, float(k), name=name, c=float(c))
 
 
 def derivative_at(f: ScalarMap, x: float) -> float:

@@ -19,7 +19,6 @@ import numpy as np
 from . import _kernels, intervals
 from .defaults import DEFAULT_ANCHOR, DEFAULT_RADIUS
 from .errors import (
-    DomainEscapeError,
     InversionRangeError,
     NonConjugateError,
     NonHyperbolicError,
@@ -344,21 +343,9 @@ def verify_conjugacy(
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
     xs = np.linspace(-radius, radius, grid_size)
-    try:
-        hx = np.asarray(h(xs), dtype=float)
-        hfx = np.asarray(h(np.asarray(f(xs), dtype=float)), dtype=float)
-        ghx = np.asarray(g(hx), dtype=float)
-    except DomainEscapeError as exc:
-        worst = exc.value if exc.value is not None else float("nan")
-        return ConjugacyReport(
-            grid=xs,
-            h_values=np.full_like(xs, np.nan),
-            residuals=np.full_like(xs, np.inf),
-            residual_sup=float("inf"),
-            tolerance=tolerance,
-            verdict="fail",
-            worst_point=float(worst),
-        )
+    hx = np.asarray(h(xs), dtype=float)
+    hfx = np.asarray(h(np.asarray(f(xs), dtype=float)), dtype=float)
+    ghx = np.asarray(g(hx), dtype=float)
     scale = 1.0 + np.maximum(np.abs(hfx), np.abs(ghx))
     residuals = np.abs(hfx - ghx) / scale
     worst_idx = int(np.argmax(residuals))

@@ -26,15 +26,6 @@ class NonHyperbolicError(ObstructionError):
     """A slope or fixed-point derivative sits on the unit/zero boundary."""
 
 
-class DomainEscapeError(IfsConjError):
-    """An orbit left the declared map domain."""
-
-    def __init__(self, message, step=None, value=None):
-        super().__init__(message)
-        self.step = step
-        self.value = value
-
-
 class UnsupportedMapError(IfsConjError):
     """Operation requires a map kind the given map is not."""
 

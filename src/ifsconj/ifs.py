@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _kernels
 from .catalog import ScalarMap
-from .errors import DomainEscapeError, UnsupportedMapError
+from .errors import UnsupportedMapError
 from .sequences import SymbolSequence
 
 
@@ -27,9 +27,6 @@ class IfsDescriptor:
         object.__setattr__(self, "maps", tuple(self.maps))
         if not self.maps:
             raise ValueError("an IFS needs at least one map")
-        domains = {m.domain for m in self.maps}
-        if len(domains) > 1:
-            raise ValueError("all maps of an IFS must share one domain")
 
     def __len__(self) -> int:
         return len(self.maps)
@@ -37,15 +34,6 @@ class IfsDescriptor:
     @property
     def alphabet(self) -> tuple[int, ...]:
         return tuple(range(1, len(self.maps) + 1))
-
-    @property
-    def domain(self):
-        return self.maps[0].domain
-
-    def map_for(self, symbol: int) -> ScalarMap:
-        if not 1 <= symbol <= len(self.maps):
-            raise ValueError(f"symbol {symbol} outside alphabet 1..{len(self.maps)}")
-        return self.maps[symbol - 1]
 
     @property
     def is_linear(self) -> bool:
@@ -68,28 +56,8 @@ def orbit_trajectory(F: IfsDescriptor, sigma: SymbolSequence, n: int, x: float) 
     if n < 1:
         raise ValueError("n must be >= 1")
     syms = _symbols_for(F, sigma, n)
-    if F.domain is None:
-        codes, ks, cs, bs = F.kernel_table()
-        return _kernels.orbit_chain(codes, ks, cs, bs, syms - 1, float(x))
-    lo, hi = F.domain
-    out = np.empty(n)
-    val = float(x)
-    if not lo <= val <= hi:
-        raise DomainEscapeError(
-            f"starting point {val} outside the domain [{lo}, {hi}]", step=0, value=val
-        )
-    for i, s in enumerate(syms):
-        val = float(F.maps[s - 1](val))
-        out[i] = val
-        if not lo <= val <= hi:
-            # maps with a declared domain are self-maps of it; a value that
-            # escapes is attributed to the step that produced it
-            raise DomainEscapeError(
-                f"orbit left the domain [{lo}, {hi}] at step {i + 1}",
-                step=i + 1,
-                value=val,
-            )
-    return out
+    codes, ks, cs, bs = F.kernel_table()
+    return _kernels.orbit_chain(codes, ks, cs, bs, syms - 1, float(x))
 
 
 def compose_orbit(F: IfsDescriptor, sigma: SymbolSequence, n: int, x: float) -> float:

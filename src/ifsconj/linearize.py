@@ -40,6 +40,8 @@ CASE_INAPPLICABLE = "inapplicable"
 _HG_CASES = {None: CASE_SAME_INTERVAL, intervals.OBSTRUCTION_ATTRACT_REPEL: CASE_MIXED_RATIO,
              intervals.OBSTRUCTION_ORIENTATION: CASE_INAPPLICABLE}
 
+_FIXED_POINT_TOL = 1e-12  # largest |f(0)| of a map that fixes the origin
+
 FATE_CONVERGES = "converges-to-zero"
 FATE_DIVERGES = "diverges"
 FATE_UNDETERMINED = "undetermined"
@@ -56,7 +58,7 @@ class LinearPartResult:
         return np.array([m.k for m in self.linear_ifs.maps])
 
 
-def linear_part(F: IfsDescriptor, fixed_point_tol: float = 1e-12) -> LinearPartResult:
+def linear_part(F: IfsDescriptor) -> LinearPartResult:
     """Linear IFS of the slopes at zero, with the applicable analysis case.
 
     Every map must fix the origin; slopes of magnitude exactly 0 or 1 are
@@ -66,7 +68,7 @@ def linear_part(F: IfsDescriptor, fixed_point_tol: float = 1e-12) -> LinearPartR
     fs = intervals.slope_feasibility(slopes)
     for i, m in enumerate(F.maps):
         v = float(m(0.0))
-        if abs(v) > fixed_point_tol:
+        if abs(v) > _FIXED_POINT_TOL:
             raise NotFixedPointError(f"map {i + 1} does not fix the origin: f(0) = {v:g}")
         if i == fs.boundary:
             raise NonHyperbolicError(f"map {i + 1} has boundary slope {slopes[i]} at the origin")
@@ -161,7 +163,7 @@ def koenigs_conjugacy(
     depth raises ConvergenceFailureError.
     """
     lam = f.slope_at_zero
-    if abs(float(f(0.0))) > 1e-12:
+    if abs(float(f(0.0))) > _FIXED_POINT_TOL:
         raise NotFixedPointError("Koenigs linearization needs f(0) = 0")
     if intervals.slope_feasibility([lam]).boundary is not None:
         raise NonHyperbolicError(f"slope {lam} at the origin is not hyperbolic")

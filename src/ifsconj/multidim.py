@@ -20,7 +20,12 @@ from .conjugacy import (
     weak_conjugacy_linear,
 )
 from .defaults import DEFAULT_ANCHOR, DEFAULT_RADIUS
-from .errors import DimensionMismatchError, NonConjugateError, NonHyperbolicError
+from .errors import (
+    DimensionMismatchError,
+    NonConjugateError,
+    NonHyperbolicError,
+    NumericFailureError,
+)
 from .ifs import IfsDescriptor
 from .sequences import SymbolSequence
 
@@ -218,7 +223,6 @@ class SimilarityIfs:
 
     base: tuple[DiagonalMap, ...]
     A: np.ndarray
-    A_inverse: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "base", tuple(self.base))
@@ -231,17 +235,10 @@ class SimilarityIfs:
                 f"A must be {m}x{m} to match the base dimension"
             )
         object.__setattr__(self, "A", A)
-        if self.A_inverse is None:
-            inv = np.linalg.inv(A)
-        else:
-            inv = np.asarray(self.A_inverse, dtype=float)
-            if inv.shape != (m, m):
-                raise DimensionMismatchError("A_inverse has the wrong shape")
+        inv = np.linalg.inv(A)
         gap = float(np.max(np.abs(A @ inv - np.eye(m))))
         if gap > 1e-10:
-            raise ValueError(
-                f"A times the supplied inverse is off the identity by {gap:.3e}"
-            )
+            raise ValueError(f"A times its computed inverse is off the identity by {gap:.3e}")
         object.__setattr__(self, "A_inverse", inv)
 
     @property
@@ -266,7 +263,8 @@ def similarity_conjugacy(
 
     The two sides are computed independently (diagonal products on one side,
     step-by-step multiplication by A D A^-1 on the other); ill-conditioned A
-    attaches a warning instead of failing.
+    attaches a warning instead of failing. A side that leaves the float range
+    (inf, or nan from inf * 0) raises NumericFailureError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -274,16 +272,19 @@ def similarity_conjugacy(
     m = S.dimension
     if X.shape != (m,):
         raise DimensionMismatchError(f"X must have shape ({m},)")
-    lhs = S.A @ diag_compose(S.base, sigma, n, X)
     conjugated = S.conjugated_maps()
-    rhs = S.A @ X
-    for s in _prefix_for(S.base, sigma, n):
-        rhs = conjugated[s - 1] @ rhs
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = S.A @ diag_compose(S.base, sigma, n, X)
+        rhs = S.A @ X
+        for s in _prefix_for(S.base, sigma, n):
+            rhs = conjugated[s - 1] @ rhs
+        residual = float(np.max(np.abs(lhs - rhs)))
+    if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+        raise NumericFailureError(f"a side of the similarity residual at n={n} is not finite")
     cond = float(np.linalg.cond(S.A))
     warning = (
         f"condition estimate {cond:.3e} exceeds 1e8; residual may be inflated"
         if cond > 1e8
         else None
     )
-    residual = float(np.max(np.abs(lhs - rhs)))
     return SimilarityResidual(residual, cond, warning)

@@ -305,9 +305,8 @@ _PROBE_ROWS = 32
 
 def _candidate_profiles(cands, radius: float) -> list[list[_MapProfile] | None]:
     """_profiles of every candidate family, or None where _profiles would
-    raise: a map not strictly monotone, or a value taken outside a map's
-    domain. Map i of all the monotone candidates is evaluated and inverted
-    as one row stack."""
+    raise: a map not strictly monotone. Map i of all the monotone candidates
+    is evaluated and inverted as one row stack."""
     out = [None] * len(cands)
     rows = []  # the monotone candidates, one stack row each
     for c, maps in enumerate(cands):
@@ -322,17 +321,13 @@ def _candidate_profiles(cands, radius: float) -> list[list[_MapProfile] | None]:
         return out
     xs = np.linspace(-radius, radius, _PROBE_GRID)
     grid = np.broadcast_to(xs, (len(rows), xs.size))
-    escaped = np.zeros(len(rows), dtype=bool)
     for i in range(len(cands[0])):
         stack = MapStack([cands[c][i] for c in rows])
         values = stack(grid)
         inverse, valid = monotone_inverse_batch(stack, grid, -radius, radius)
-        escaped |= stack.escaped
         for r, c in enumerate(rows):
             derivative = np.asarray(cands[c][i].derivative(xs))
             out[c].append(_MapProfile(values[r], inverse[r], valid[r], derivative))
-    for r in np.flatnonzero(escaped):
-        out[rows[r]] = None
     return out
 
 
@@ -385,8 +380,7 @@ def perturbation_probe(
     as verify_conjugacy on the 257-point grid would (_holds_on_grid).
     Trials whose perturbation crosses an interval boundary count as
     failures, not generation errors. A candidate with a map that is not
-    strictly monotone, or that is evaluated outside its domain, is not
-    admissible and is redrawn.
+    strictly monotone is not admissible and is redrawn.
 
     The trials still without an admissible candidate (up to 32 at a time)
     draw one candidate each per round, and map i of those candidates is

@@ -17,7 +17,6 @@ from ifsconj import (
     smooth,
 )
 from ifsconj.catalog import MapStack, Perturbation
-from ifsconj.errors import DomainEscapeError
 
 
 def test_linear_evaluation_and_derivative():
@@ -92,13 +91,6 @@ def test_estimate_lipschitz_validates_arguments():
         estimate_lipschitz(linear(0.5), (1.0, 1.0), 10)
 
 
-def test_domain_escape():
-    f = linear(2.0, domain=(-1.0, 1.0))
-    assert f(0.5) == 1.0
-    with pytest.raises(DomainEscapeError):
-        f(3.0)
-
-
 def test_maps_vectorize():
     f = linear_plus_lipschitz(0.5, rational_bump(0.1))
     xs = np.linspace(-2, 2, 9)
@@ -134,28 +126,12 @@ def test_map_stack_rows_match_each_map(kind, params, width, seed):
     got = stack(x)
     for f, row, got_row in zip(maps, x, got):
         assert got_row.tobytes() == f(row).tobytes()
-    assert not stack.escaped.any()
-
-
-def test_map_stack_marks_rows_that_leave_their_domain():
-    maps = [linear(k, (-2.0, 2.0)) for k in (0.5, 0.6, 0.7)]
-    stack = MapStack(maps)
-    x = np.array([[1.0, -1.5], [2.5, -2.0], [-3.0, 9.0]])
-    np.testing.assert_array_equal(stack(x), np.array([[0.5], [0.6], [0.7]]) * x)
-    assert stack.escaped.tolist() == [False, True, True]
-    for f, row, escaped in zip(maps, x, stack.escaped):
-        if escaped:
-            with pytest.raises(DomainEscapeError):
-                f(row)
-        else:
-            f(row)
 
 
 def test_map_stack_needs_one_kind_shape_and_domain():
     for maps in ([linear(0.5), smooth(0.5, 0.1)],
                  [linear_plus_lipschitz(0.5, sine_bump(0.1)),
-                  linear_plus_lipschitz(0.5, rational_bump(0.1))],
-                 [linear(0.5), linear(0.6, (-1.0, 1.0))]):
+                  linear_plus_lipschitz(0.5, rational_bump(0.1))]):
         with pytest.raises(ValueError, match="one kind"):
             MapStack(maps)
 

@@ -367,6 +367,24 @@ def test_multidim_singular_matrix_exit_1(tmp_path, capsys):
     assert main(["multidim", "--input", inp]) == 1
 
 
+def test_multidim_similarity_overflow_exit_1(tmp_path, capsys):
+    # 1e200 * 1e200 * 0 is nan on both sides; the residual was reported as
+    # "nan" with exit 0, after four RuntimeWarnings
+    doc = {
+        "dimension": 2,
+        "maps": [{"diag": [1e200, 0.5]}, {"diag": [0.0, 0.25]}],
+        "sequence": {"type": "explicit", "symbols": [1, 1, 2]},
+        "n": 3,
+        "x": [1.0, 1.0],
+        "similarity": {"A": [[1.0, 0.0], [0.0, 1.0]]},
+    }
+    inp = write(tmp_path, "overflow.json", doc)
+    assert main(["multidim", "--input", inp]) == 1
+    assert capsys.readouterr().err == (
+        "ifsconj multidim: a side of the similarity residual at n=3 is not finite\n"
+    )
+
+
 @pytest.mark.parametrize("x", [["a", 1.0], [1.0, True], [1.0, 2.0, 3.0]])
 def test_multidim_bad_x_names_the_field(tmp_path, capsys, x):
     doc = {

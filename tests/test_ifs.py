@@ -16,7 +16,7 @@ from ifsconj import (
     orbit_trajectory,
     sine_bump,
 )
-from ifsconj.errors import DomainEscapeError, UnsupportedMapError
+from ifsconj.errors import UnsupportedMapError
 
 
 def two_map_ifs(k1, k2):
@@ -105,19 +105,9 @@ def test_trajectory_prefix_consistency():
     assert traj[2] == pytest.approx(compose_orbit(F, sig, 3, 4.0))
 
 
-def test_domain_escape_reports_step():
-    maps = (linear(2.0, domain=(-4.0, 4.0)), linear(3.0, domain=(-4.0, 4.0)))
-    F = IfsDescriptor(maps)
-    with pytest.raises(DomainEscapeError) as err:
-        compose_orbit(F, PeriodicSequence((1, 1)), 4, 1.0)
-    assert err.value.step == 3  # 1 -> 2 -> 4 -> escapes at 8
-
-
 def test_descriptor_validation():
     with pytest.raises(ValueError):
         IfsDescriptor(())
-    with pytest.raises(ValueError):
-        IfsDescriptor((linear(0.5, domain=(-1, 1)), linear(0.5)))
     F = two_map_ifs(0.5, 0.2)
     with pytest.raises(ValueError):
         compose_orbit(F, ExplicitSequence((1, 3), alphabet=(1, 2, 3)), 2, 1.0)

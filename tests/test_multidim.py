@@ -254,15 +254,6 @@ def test_similarity_zero_vector():
     assert similarity_conjugacy(S, sig, 1, np.zeros(2)).residual == 0.0
 
 
-def test_similarity_validates_inverse():
-    with pytest.raises(ValueError):
-        SimilarityIfs(
-            (DiagonalMap((0.5, 0.25)),),
-            np.array([[1.0, 0.0], [0.0, 1.0]]),
-            A_inverse=np.array([[2.0, 0.0], [0.0, 1.0]]),
-        )
-
-
 def test_similarity_conditioning_warning():
     A = np.array([[1.0, 0.0], [0.0, 1e-9]])
     S = SimilarityIfs((DiagonalMap((0.5, 0.25)),), A)
