@@ -32,10 +32,17 @@ _QUOTIENTS = (MAP_RATIONAL, MAP_SMOOTH_RQ)  # maps whose term has 1 + x*x below
 
 
 # ---------------------------------------------------------------------------
-# orbit chain: x_{t+1} = f_{sym_t}(x_t), full trajectory returned. Catalog
-# maps without an offset share the fixed point 0, where a contractive orbit
-# arrives, through the subnormals, in about 1000 steps and stays; the loop
-# stops there and the zeros of the rest are written in numpy
+# orbit chains: x_{t+1} = f_{sym_t}(x_t), full trajectory returned. Both
+# kernels step in blocks and, at a block's end, stop stepping once the rest
+# of the trajectory is decided, with every output byte unchanged:
+#   - at a value every map keeps up to sign (an absorbing value): +-0 for
+#     maps without an offset, +-5e-324 where every slope exceeds 1/2 in
+#     size, +-inf for a diagonal without a 0 or nan; the rest is that value
+#     with the sign the maps give it, written without arithmetic;
+#   - for an affine family k*x + b with an offset, whose orbits under one
+#     symbol string meet bit for bit within a few dozen steps, by stepping
+#     lanes of the rest side by side and restarting each from its
+#     predecessor's end until they agree (coupling from the past)
 # ---------------------------------------------------------------------------
 
 def pack_rows(rows):
@@ -80,38 +87,109 @@ def _step(code, k, c, b, x):
     return k * x + c * x * x / (1.0 + x * x)
 
 
-def _zero_signs(maps):
-    """The sign bits of each map's step at +0 and at -0, as two bool arrays,
-    or None unless every step of a zero is a zero (a nan slope's is nan)."""
-    images = np.array([[_step(*m, z) for z in (0.0, -0.0)] for m in maps]).reshape(-1, 2)
-    if not (images == 0.0).all():
+def _absorbing_signs(maps, x):
+    """For a finite x, the sign bits of each map's step at +|x| and at -|x|,
+    as two bool arrays, or None unless every such step has magnitude |x|.
+
+    A nan step fails the test, so a nan slope or offset never absorbs.
+    """
+    a = abs(x)
+    if not all(abs(_step(*m, z)) == a for m in maps for z in (a, -a)):
         return None
-    negative = np.signbit(images)
+    negative = np.signbit([[_step(*m, z) for z in (a, -a)] for m in maps])
     return negative[:, 0], negative[:, 1]
 
 
-def _zero_tail(out, symbols, at_pos, at_neg, x):
-    """Write the orbit of the zero x under symbols into out.
+def _absorbing_tail(out, symbols, at_pos, at_neg, x):
+    """Write the orbit of x under symbols into out, where every map sends
+    {+|x|, -|x|} into itself.
 
-    On {+0, -0} each map keeps the sign, flips it or sends both zeros to one
-    (at_pos[s], at_neg[s]: the sign bits of map s at +0 and -0). So a step
-    gives the zero of the last constant map up to it, or x where there is
-    none, negated once for each flipping map since.
+    On that pair each map keeps the sign, flips it or sends both to one
+    (at_pos[s], at_neg[s]: the sign bits of map s at +|x| and -|x|). So a
+    step gives the value of the last constant map up to it, or x where there
+    is none, negated once for each flipping map since.
     """
     const = at_pos == at_neg
     flips = at_pos & ~at_neg
     if not flips.any() and (at_pos[const] == np.signbit(x)).all():
         out[:] = x
         return
+    a = abs(x)
     # 1 + the index of the last constant step up to each step, 0 before the first
     last = np.maximum.accumulate(np.arange(1, symbols.size + 1) * const[symbols])
-    np.take(np.concatenate(([x], np.where(at_pos, -0.0, 0.0)[symbols])), last, out=out)
+    np.take(np.concatenate(([x], np.where(at_pos, -a, a)[symbols])), last, out=out)
     if flips.any():
         count = np.concatenate(([0], np.cumsum(flips[symbols])))
         np.negative(out, out=out, where=(count[1:] - count[last]) % 2 == 1)
 
 
-_BLOCK = 1024  # loop steps between the checks for an orbit at zero
+_BLOCK = 1024  # loop steps between the checks for an absorbing value
+_LANES = 512  # lanes of an affine orbit, at most
+_LANE_STEPS = 256  # steps per lane, at least: well above the depth at which orbits meet
+_MIN_LANES = 64  # fewer lanes than this cost more than the loop they replace
+
+
+def _settle(buf, sym, kb, lanes):
+    """Restart the given lanes of buf from the last value of the lane before
+    each, stopping each at its first step equal to the stored one bit for
+    bit: from there on the stored steps are its steps. Returns the lanes
+    that never met theirs, whose last value has changed."""
+    x = buf[-1, lanes - 1]
+    for i, row in enumerate(buf):
+        step = kb.take(sym[lanes, i], axis=0)
+        x = step[:, 0] * x + step[:, 1]
+        moved = x.view(np.int64) != row[lanes].view(np.int64)
+        lanes, x = lanes[moved], x[moved]
+        if not lanes.size:
+            break
+        row[lanes] = x
+    return lanes
+
+
+def _affine_lanes(out, symbols, maps, x):
+    """Write the first p*L steps of the orbit of the finite x under the
+    affine maps into out, and return p*L, or 0 where the lanes do not give
+    the step loop's values.
+
+    The steps are cut into p lanes of L steps, stepped side by side in one
+    (L, p) buffer, lane 0 from x and the others from x as a guess. Each
+    lane j >= 1 is then restarted from the last value of lane j - 1
+    (_settle), at most twice over; a contractive family's lanes settle
+    within a few dozen steps of the first restart. A lane that turns
+    non-finite (where the loop would hold the value) or has not settled
+    after the second restart leaves the steps to the loop. Every step is
+    the loop's k*x + b, so a settled buffer holds the loop's bits.
+    """
+    p = min(_LANES, symbols.size // _LANE_STEPS)
+    if p < _MIN_LANES:
+        return 0
+    L = symbols.size // p
+    sym = symbols[:p * L].reshape(p, L)  # sym[j, i]: step i of lane j
+    kb = np.array([(k, b) for _, k, _, b in maps])
+    buf = np.empty((L, p))
+    with np.errstate(all="ignore"):
+        prev = x
+        for i, row in enumerate(buf):
+            step = kb.take(sym[:, i], axis=0)
+            np.multiply(step[:, 0], prev, out=row)
+            row += step[:, 1]
+            prev = row
+        # a non-finite value stays non-finite under k*x + b, so the lanes'
+        # last values show every non-finite step
+        if not np.isfinite(buf[-1]).all():
+            return 0
+        todo = np.arange(1, p)
+        for _ in range(2):
+            moved = _settle(buf, sym, kb, todo)
+            if not np.isfinite(buf[-1, moved]).all():
+                return 0
+            todo = moved[moved < p - 1] + 1
+            if not todo.size:
+                break
+        else:
+            return 0
+    out[:p * L].reshape(p, L)[...] = buf.T
+    return p * L
 
 
 def orbit_chain(codes, ks, cs, bs, symbols, x0):
@@ -125,26 +203,46 @@ def orbit_chain(codes, ks, cs, bs, symbols, x0):
     nan slope. Once the orbit is non-finite, the rest of the trajectory
     holds that non-finite value.
 
-    The loop runs in blocks of _BLOCK steps. When a block leaves the orbit
-    at +-0 and every map sends both zeros to zeros, as every catalog map
-    without an offset does, the orbit stays on {+0, -0}, and _zero_tail
-    writes the rest of it, sign bits included, in a few numpy passes.
-    Which maps do is found only then, so a short orbit pays nothing for it.
+    The loop runs in blocks of _BLOCK steps, and stops stepping in one of
+    two ways, each giving the loop's bytes, sign bits included:
+      - A block that leaves the orbit at a finite x where every map's step
+        of +|x| and -|x| has magnitude |x| (+-0 for the maps without an
+        offset, and +-5e-324 where each slope also exceeds 1/2 in size)
+        ends the loop: the orbit stays on that pair, and _absorbing_tail
+        writes the rest of it in a few numpy passes. Which maps keep the
+        pair is found only at a block's end, so a short orbit pays nothing.
+      - When every row is k*x + b, some offset is nonzero and the first
+        block ends off an absorbing value, the rest of the orbit is
+        stepped as lanes (_affine_lanes); the loop takes the few steps
+        past the lanes, or all of them where the lanes do not settle.
+        Sine rows stay on the loop, since np.sin may not round as
+        math.sin; rational and smooth rows need _retake. With every offset
+        0, two orbits meet only at an absorbing value, where the tail
+        takes over.
     """
     n = symbols.shape[0]
     out = np.empty(n, dtype=np.float64)
     rows = [(int(code), float(k), float(c), float(b)) for code, k, c, b in zip(codes, ks, cs, bs)]
     maps = [(code, math.nan if code in _QUOTIENTS and abs(k) < 1e-130 else k, c, b)
             for code, k, c, b in rows]
+    affine = all(m[0] == MAP_LINEAR for m in maps) and any(m[3] != 0.0 for m in maps)
     isfinite, sin = math.isfinite, math.sin
     x0 = x = float(x0)
+    start = 0
     # a memoryview stores a Python float into out faster than ndarray indexing
     with memoryview(out) as buf:
-        for start in range(0, n, _BLOCK):
-            if start and x == 0.0 and (signs := _zero_signs(maps)) is not None:
-                _zero_tail(out[start:], symbols[start:], *signs, x)
-                return out
-            for t, s in enumerate(symbols[start:start + _BLOCK].tolist(), start):
+        while start < n:
+            if start and isfinite(x):
+                if (signs := _absorbing_signs(maps, x)) is not None:
+                    _absorbing_tail(out[start:], symbols[start:], *signs, x)
+                    return out
+                if start == _BLOCK and affine and (
+                        done := _affine_lanes(out[start:], symbols[start:], maps, x)):
+                    start += done
+                    x = buf[start - 1]
+                    continue
+            stop = min(start + _BLOCK, n)
+            for t, s in enumerate(symbols[start:stop].tolist(), start):
                 if not isfinite(x):
                     x = _retake(rows[symbols[t - 1]] if t else None, buf, x0, t, x)
                     if not isfinite(x):
@@ -160,9 +258,36 @@ def orbit_chain(codes, ks, cs, bs, symbols, x0):
                 else:
                     x = k * x + c * x * x / (1.0 + x * x)
                 buf[t] = x
+            start = stop
         if n and not isfinite(x):
             _retake(rows[symbols[n - 1]], buf, x0, n, x)
     return out
+
+
+def _diag_tail(out, table, symbols, v):
+    """Write the orbit of the row v under the diagonals picked by symbols
+    into out and return True; or return False unless |v*d| == |v| for every
+    entry d of each column of table.
+
+    Each step then keeps |v| and multiplies the sign by that of the picked
+    entry: a copy of v where no entry is negative, else +-|v| by the parity
+    of the negative entries picked so far, written as sign and magnitude
+    bits (an arithmetic negation of +-5e-324 takes the subnormal penalty).
+    """
+    a = np.abs(v)
+    if not (np.abs(v * table) == a).all():
+        return False
+    flips = np.signbit(table)
+    if not flips.any():
+        out[:] = v
+        return True
+    negative = flips[symbols]
+    np.logical_xor.accumulate(negative, axis=0, out=negative)
+    negative ^= np.signbit(v)
+    bits = out.view(np.int64)
+    np.left_shift(negative, 63, out=bits, dtype=np.int64)
+    bits |= a.view(np.int64)
+    return True
 
 
 def orbit_chain_diag(diags, symbols, x0):
@@ -173,11 +298,30 @@ def orbit_chain_diag(diags, symbols, x0):
     commutative, so every entry is rounded exactly as in the step x_t =
     d_t * x_{t-1}, including at +-0, subnormals, +-inf and a nan start
     (only the payload of a product of two nans can depend on the order).
+
+    The product runs in blocks, the first of _BLOCK rows and each later one
+    as long as all before it, so a long orbit that never settles pays for
+    few checks. Each block gathers its diagonals and carries the last row
+    before it in as prev * d, the order of the running product. Once every
+    coordinate's value v keeps its magnitude under every entry of its
+    column (+-0 under finite entries; +-5e-324, where each further multiply
+    would take the subnormal penalty, under entries above 1/2 in size;
+    +-inf under entries other than 0 and nan), _diag_tail writes the rest
+    without gathering or multiplying.
     """
-    out = np.asarray(diags, dtype=np.float64)[symbols]
+    table = np.asarray(diags, dtype=np.float64)
+    out = np.empty(symbols.shape + table.shape[1:])
+    start, stop = 0, _BLOCK
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        out[:1] *= x0
-        np.multiply.accumulate(out, axis=0, out=out)
+        while start < out.shape[0]:
+            if start and _diag_tail(out[start:], table, symbols[start:], out[start - 1]):
+                break
+            out[start:stop] = np.take(table, symbols[start:stop], axis=0)
+            if not start:
+                out[:1] *= x0
+            rows = out[max(start - 1, 0):stop]
+            np.multiply.accumulate(rows, axis=0, out=rows)
+            start, stop = stop, 2 * stop
     return out
 
 

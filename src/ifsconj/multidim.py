@@ -75,7 +75,12 @@ def _prefix_for(maps, sigma: SymbolSequence, n: int) -> np.ndarray:
 
 
 def diag_compose(maps, sigma: SymbolSequence, n: int, X) -> np.ndarray:
-    """n-step composite along sigma: coordinatewise slope products times X."""
+    """n-step composite along sigma: coordinatewise slope products times X.
+
+    As in ifs.effective_slope, a product past the float range is +-inf, and
+    a zero entry makes its coordinate's product the zero of the product's
+    sign, even after an overflow.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     maps = list(maps)
@@ -84,8 +89,14 @@ def diag_compose(maps, sigma: SymbolSequence, n: int, X) -> np.ndarray:
     if X.shape[-1] != m:
         raise DimensionMismatchError(f"point has shape {X.shape}, expected (..., {m})")
     syms = _prefix_for(maps, sigma, n)
-    table = np.array([mp.diag for mp in maps])
-    products = np.prod(table[syms - 1], axis=0)
+    picked = np.array([mp.diag for mp in maps])[syms - 1]
+    with np.errstate(over="ignore"):
+        if picked.all():
+            products = np.prod(picked, axis=0)
+        else:  # inf * 0 would be nan
+            nonzero = picked.all(axis=0)
+            products = np.where(np.signbit(picked).sum(axis=0) % 2, -0.0, 0.0)
+            products[nonzero] = np.prod(picked[:, nonzero], axis=0)
     return products * X
 
 

@@ -95,8 +95,9 @@ class BernoulliSequence(SymbolSequence):
             gen = np.random.Generator(np.random.Philox(key=self.seed))
             cached = gen.random(max(n, 2 * len(cached) if cached is not None else n))
             self._cache["u"] = cached
-        out = np.where(cached[:n] < self.p, self.alphabet[0], self.alphabet[1])
-        return out.astype(np.int64)
+        # np.where on the Python-int symbols takes the slow object path
+        a0, a1 = self.alphabet
+        return a1 + (a0 - a1) * (cached[:n] < self.p).astype(np.int64)
 
 
 @dataclass(frozen=True)

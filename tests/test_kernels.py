@@ -1,9 +1,10 @@
 """Kernel behaviours: the step cap, the reference exponent search, the
 fundamental-domain evaluation against its checked step loop and an exact
 rational reference, divergent orbits, orbit chains equal to their step
-loops, the Lipschitz maximum."""
+loops (absorbing tails and affine lanes included), the Lipschitz maximum."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from ifsconj import BernoulliSequence, IfsDescriptor, orbit_trajectory
 from ifsconj import _kernels as K
 from ifsconj import catalog
 from ifsconj.catalog import linear, linear_plus_lipschitz, rational_bump, sine_bump, smooth
@@ -511,3 +513,217 @@ def test_orbit_chain_diag_overflow_is_quiet():
     x0 = np.array([1e200, 1e-200, math.inf])
     out = K.orbit_chain_diag(diags, np.zeros(4, dtype=np.int64), x0)
     assert np.isposinf(out[-1, 0]) and out[-1, 1] == 0.0 and np.isnan(out[-1, 2])
+
+
+# ---------------------------------------------------------------------------
+# absorbing values and affine lanes
+# ---------------------------------------------------------------------------
+
+def running_product_loop(diags, symbols, x0):
+    """Reference step loop in the running product's operand order: x_1 =
+    d_1 * x0, then x_t = x_{t-1} * d_t. It gives orbit_chain_diag_loop's
+    bits but for the payload of a nan times a nan, which takes the first
+    operand's."""
+    n = symbols.shape[0]
+    out = np.empty((n, x0.shape[0]), dtype=np.float64)
+    with np.errstate(all="ignore"):
+        x = diags[symbols[0]] * x0 if n else x0
+        for t in range(n):
+            if t:
+                x = x * diags[symbols[t]]
+            out[t] = x
+    return out
+
+
+def assert_diag_matches_loops(diags, symbols, x0):
+    got = K.orbit_chain_diag(diags, symbols, x0)
+    assert got.tobytes() == running_product_loop(diags, symbols, x0).tobytes()
+    ref = orbit_chain_diag_loop(diags, symbols, x0)
+    assert np.array_equal(got, ref, equal_nan=True)
+    assert (np.signbit(got) == np.signbit(ref))[~np.isnan(ref)].all()
+    return got
+
+
+def test_running_product_loop_keeps_the_first_nan():
+    # 0 * inf gives the negative default nan here, which the stored +nan
+    # entry then meets: a block carried in as d * prev would take the +nan
+    diags = np.array([[0.0], [math.inf], [math.nan]])
+    got = running_product_loop(diags, np.array([0, 1, 2]), np.array([1.0]))
+    assert np.isnan(got[1:]).all() and got[2].tobytes() == got[1].tobytes()
+
+
+# (code, slopes, offsets) of affine families on the lanes: contractive,
+# with a slope near 1, expansive and mixed
+AFFINE_SLOPES = st.one_of(st.floats(-0.95, 0.95), st.floats(0.99, 0.99999),
+                          st.floats(-1.001, -0.999), st.floats(1.0001, 1.3))
+LANE_EDGES = [K._BLOCK + K._MIN_LANES * K._LANE_STEPS + d for d in (-1, 0, 1, K._MIN_LANES - 1)] + \
+             [K._BLOCK + K._LANES * K._LANE_STEPS + d for d in (-1, 0, 1, K._LANES + 1)]
+LANE_STARTS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -0.4, 3.0, math.inf, -math.inf, math.nan]
+
+
+@settings(max_examples=40, deadline=None)
+@given(ks=st.lists(AFFINE_SLOPES, min_size=1, max_size=3),
+       bs=st.lists(st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0, 1e-300])),
+                   min_size=3, max_size=3),
+       n=st.sampled_from(LANE_EDGES), x0=st.sampled_from(LANE_STARTS), seed=st.integers(0, 2**32 - 1))
+def test_orbit_chain_affine_lanes_bit_identical_to_loop(ks, bs, n, x0, seed):
+    rows = [(K.MAP_LINEAR, k, 0.0, b) for k, b in zip(ks, bs)]
+    codes, kk, cs, bb = K.pack_rows(rows)
+    symbols = np.random.default_rng(seed).integers(0, len(rows), n)
+    got = K.orbit_chain(codes, kk, cs, bb, symbols, x0)
+    assert got.tobytes() == orbit_chain_loop(codes, kk, cs, bb, symbols, x0).tobytes()
+
+
+def test_affine_lanes_settle_on_the_cantor_family():
+    # the lanes take the Cantor orbit after the first block, settling in one
+    # restart; their bits are the loop's
+    maps = [(K.MAP_LINEAR, 1 / 3, 0.0, 0.0), (K.MAP_LINEAR, 1 / 3, 0.0, 2 / 3)]
+    codes, ks, cs, bs = K.pack_rows(maps)
+    symbols = np.random.default_rng(11).integers(0, 2, 200_000)
+    got = K.orbit_chain(codes, ks, cs, bs, symbols, 0.5)
+    assert got.tobytes() == orbit_chain_loop(codes, ks, cs, bs, symbols, 0.5).tobytes()
+    rest = np.empty(symbols.size - K._BLOCK)
+    done = K._affine_lanes(rest, symbols[K._BLOCK:], maps, float(got[K._BLOCK - 1]))
+    assert done == K._LANES * ((symbols.size - K._BLOCK) // K._LANES)
+    assert rest[:done].tobytes() == got[K._BLOCK:K._BLOCK + done].tobytes()
+
+
+def test_affine_lanes_leave_expansive_and_diverging_orbits_to_the_loop():
+    symbols = np.random.default_rng(3).integers(0, 2, 40_000)
+    # lanes from a wrong start never meet the true ones under an expansion
+    expansive = [(K.MAP_LINEAR, 1.001, 0.0, 0.5), (K.MAP_LINEAR, -1.0005, 0.0, -0.25)]
+    assert K._affine_lanes(np.empty(symbols.size), symbols, expansive, 0.3) == 0
+    # the orbit passes 1e308 and turns infinite, which the loop holds
+    diverging = [(K.MAP_LINEAR, 1.2, 0.0, 0.5), (K.MAP_LINEAR, 1.1, 0.0, 1.0)]
+    assert K._affine_lanes(np.empty(symbols.size), symbols, diverging, 1e300) == 0
+    for maps in (expansive, diverging):
+        codes, ks, cs, bs = K.pack_rows(maps)
+        got = K.orbit_chain(codes, ks, cs, bs, symbols, 0.3)
+        assert got.tobytes() == orbit_chain_loop(codes, ks, cs, bs, symbols, 0.3).tobytes()
+
+
+# rows that keep +-5e-324 up to sign or send it to 0: |k| above or at 1/2,
+# bumps too small to move a subnormal, offsets of +-0 or +-5e-324 (a
+# constant map where k*x vanishes)
+SUBNORMAL_ROWS = st.tuples(st.integers(0, 3),
+                           st.one_of(signed(0.5, 1.0), st.sampled_from([1e-300, -1e-300, 0.0])),
+                           signed(0.0, 0.3), st.sampled_from([0.0, -0.0, 5e-324, -5e-324]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(SUBNORMAL_ROWS, min_size=1, max_size=4), n=st.sampled_from(EDGE_LENGTHS),
+       seed=st.integers(0, 2**32 - 1))
+def test_orbit_chain_subnormal_tail_bit_identical_to_loop(rows, n, seed):
+    codes, ks, cs, bs = K.pack_rows(rows)
+    symbols = np.random.default_rng(seed).integers(0, len(rows), n)
+    for x0 in [5e-324, -5e-324, 1e-323, 0.7, -3.0, 1e300, math.nan]:
+        got = K.orbit_chain(codes, ks, cs, bs, symbols, x0)
+        assert got.tobytes() == orbit_chain_loop(codes, ks, cs, bs, symbols, x0).tobytes(), x0
+
+
+@pytest.mark.parametrize("const", [5e-324, -5e-324])
+def test_orbit_chain_subnormal_tail_with_constant_and_flipping_maps(const):
+    # on +-5e-324 the first map keeps the sign, the second flips it and the
+    # third, whose k*x vanishes, gives its offset whatever the sign
+    rows = [(K.MAP_LINEAR, 0.7, 0.0, 0.0), (K.MAP_SINE, -0.6, 0.2, 0.0),
+            (K.MAP_LINEAR, 1e-300, 0.0, const)]
+    codes, ks, cs, bs = K.pack_rows(rows)
+    symbols = np.random.default_rng(8).integers(0, 3, 3 * K._BLOCK + 17)
+    for x0 in [1.0, -2.5, 5e-324]:
+        got = K.orbit_chain(codes, ks, cs, bs, symbols, x0)
+        assert got.tobytes() == orbit_chain_loop(codes, ks, cs, bs, symbols, x0).tobytes(), x0
+        assert np.signbit(got[K._BLOCK:]).any() and not np.signbit(got[K._BLOCK:]).all()
+        assert (np.abs(got[K._BLOCK:]) == 5e-324).all()
+
+
+def test_orbit_stuck_at_the_smallest_subnormal_takes_the_tail():
+    # 0.6 * 5e-324 and 0.7 * 5e-324 round back to 5e-324, so the orbit never
+    # reaches 0; it gets there within two blocks, and the tail writes the
+    # rest. A loop over every step takes about as long per step as the sine
+    # orbit below, which has a tenth of the steps and never settles
+    codes, ks, cs, bs = K.pack_rows([(K.MAP_LINEAR, 0.6, 0.0, 0.0), (K.MAP_LINEAR, 0.7, 0.0, 0.0)])
+    symbols = np.random.default_rng(3).integers(0, 2, 1_000_000)
+    got = K.orbit_chain(codes, ks, cs, bs, symbols[:200_000], 1.0)
+    assert got.tobytes() == orbit_chain_loop(codes, ks, cs, bs, symbols[:200_000], 1.0).tobytes()
+    assert got[2 * K._BLOCK] == got[-1] == 5e-324
+    sine = K.pack_rows([(K.MAP_SINE, 0.5, 2.0, 0.0)])  # 0 repels: no tail
+    stuck, looped = [], []
+    for _ in range(3):
+        t = time.perf_counter()
+        K.orbit_chain(codes, ks, cs, bs, symbols, 1.0)
+        stuck.append(time.perf_counter() - t)
+        t = time.perf_counter()
+        K.orbit_chain(*sine, symbols[:100_000] * 0, 1.0)
+        looped.append(time.perf_counter() - t)
+    assert min(stuck) < min(looped)
+
+
+def test_orbit_trajectory_stuck_at_the_smallest_subnormal():
+    F = IfsDescriptor((linear(0.6), linear(0.7)))
+    traj = orbit_trajectory(F, BernoulliSequence(0.5, 3), 200_000, 1.0)
+    codes, ks, cs, bs = F.kernel_table()
+    symbols = BernoulliSequence(0.5, 3).prefix(200_000) - 1
+    assert traj.tobytes() == orbit_chain_loop(codes, ks, cs, bs, symbols, 1.0).tobytes()
+    assert traj[-1] == 5e-324
+
+
+DIAG_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 0.51, -0.51, 0.7, -0.7, 1.0, -1.0, 2.0, 1e-300,
+                     math.inf, math.nan]),
+    st.floats(-1.0, 1.0))
+DIAG_EDGES = [1, K._BLOCK - 1, K._BLOCK, K._BLOCK + 1, 2 * K._BLOCK + 1, 4 * K._BLOCK - 1,
+              4 * K._BLOCK + 1, 8 * K._BLOCK + 3]
+DIAG_STARTS = [0.0, -0.0, 5e-324, -5e-324, 1.0, -3.0, 1e308, math.inf, -math.inf, math.nan]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(1, 3).flatmap(
+           lambda m: st.lists(st.lists(DIAG_ENTRIES, min_size=m, max_size=m), min_size=1, max_size=3)),
+       n=st.sampled_from(DIAG_EDGES), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_orbit_chain_diag_absorbing_tail_bit_identical_to_loop(rows, n, seed, data):
+    diags = np.array(rows)
+    x0 = np.array(data.draw(st.lists(st.sampled_from(DIAG_STARTS), min_size=diags.shape[1],
+                                     max_size=diags.shape[1])))
+    symbols = np.random.default_rng(seed).integers(0, len(rows), n)
+    assert_diag_matches_loops(diags, symbols, x0)
+
+
+def test_orbit_chain_diag_block_edges_keep_the_running_product_order():
+    # inf * 0 gives the negative default nan on x86, and the +nan entry is
+    # picked at each block's first row: carried in as d * prev, that row
+    # would take the +nan
+    diags = np.array([[math.inf], [math.nan], [0.5]])
+    symbols = np.full(8 * K._BLOCK + 5, 2)
+    symbols[0] = 0
+    symbols[[K._BLOCK, 2 * K._BLOCK, 4 * K._BLOCK, 8 * K._BLOCK]] = 1
+    got = assert_diag_matches_loops(diags, symbols, np.array([0.0]))
+    assert np.isnan(got).all()
+
+
+# the diagonal chaos game's maps have entries in (0.3, 0.7): a column whose
+# entries all exceed 1/2 sticks at 5e-324, the others reach 0
+BENCHMARK_DIAGS = {
+    0: [[0.62, 0.45, 0.38], [0.45, 0.66, 0.52]],
+    1: [[0.62, 0.45, 0.38], [0.55, 0.66, 0.52]],
+    3: [[0.62, 0.51, 0.69], [0.55, 0.66, 0.52]],
+}
+
+
+@pytest.mark.parametrize("stuck", list(BENCHMARK_DIAGS))
+def test_orbit_chain_diag_benchmark_shapes(stuck):
+    diags = np.array(BENCHMARK_DIAGS[stuck])
+    sticks = (diags > 0.5).all(axis=0)
+    assert sticks.sum() == stuck
+    symbols = np.random.default_rng(stuck).integers(0, 2, 20_000)
+    x0 = np.array([4.2, -3.1, 0.7])
+    got = assert_diag_matches_loops(diags, symbols, x0)
+    assert got[-1].tobytes() == (np.where(sticks, 5e-324, 0.0) * np.sign(x0)).tobytes()
+
+
+def test_orbit_chain_diag_signed_absorbing_tail():
+    # negative entries flip the sign of the stuck and zero coordinates, an
+    # entry of 1 keeps any value, and inf is kept by every nonzero entry
+    diags = np.array([[-0.6, 0.7, -1.0, 2.0], [0.9, -0.55, 1.0, -0.3]])
+    symbols = np.random.default_rng(5).integers(0, 2, 12_000)
+    got = assert_diag_matches_loops(diags, symbols, np.array([1.0, -2.0, 0.3, math.inf]))
+    assert (np.abs(got[-1]) == [5e-324, 5e-324, 0.3, math.inf]).all()

@@ -72,6 +72,21 @@ def test_diag_compose_matches_scalar_orbits():
         assert vec[i] == pytest.approx(compose_orbit(F, sig, 4, X[i]))
 
 
+def test_diag_compose_zero_entry_after_overflow_is_a_signed_zero():
+    # 1e200 * 1e200 overflows; the zero entry then decides the coordinate,
+    # as in effective_slope, with no RuntimeWarning (pytest makes one fail)
+    maps = [DiagonalMap((1e200, 0.5)), DiagonalMap((0.0, 0.25))]
+    out = diag_compose(maps, ExplicitSequence((1, 1, 2), alphabet=(1, 2)), 3, np.ones(2))
+    assert out.tobytes() == np.array([0.0, 0.0625]).tobytes()
+    maps = [DiagonalMap((-1e200, 0.5)), DiagonalMap((-0.0, 3.0))]
+    out = diag_compose(maps, ExplicitSequence((1, 2, 2), alphabet=(1, 2)), 3, np.ones(2))
+    assert out.tobytes() == np.array([-0.0, 4.5]).tobytes()
+    # without a zero the product is the signed infinity
+    maps = [DiagonalMap((1e200, -1e200)), DiagonalMap((-2.0, 0.5))]
+    out = diag_compose(maps, ExplicitSequence((1, 1, 2), alphabet=(1, 2)), 3, np.ones(2))
+    assert out.tobytes() == np.array([-math.inf, math.inf]).tobytes()
+
+
 def test_diag_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         diag_compose(

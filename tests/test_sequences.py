@@ -52,6 +52,16 @@ def test_bernoulli_extreme_probabilities():
     assert set(BernoulliSequence(0.0, seed=1).prefix(50)) == {2}
 
 
+@pytest.mark.parametrize("p, alphabet", [(0.5, (1, 2)), (0.3, (2, 1)), (0.9, (4, 7)), (0.0, (1, 3))])
+def test_bernoulli_symbols_follow_the_philox_stream(p, alphabet):
+    # the first alphabet symbol exactly where the stream's uniform is below p
+    s = BernoulliSequence(p, seed=41, alphabet=alphabet)
+    u = np.random.Generator(np.random.Philox(key=41)).random(3000)
+    got = s.prefix(3000)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.where(u < p, alphabet[0], alphabet[1]))
+
+
 def test_sparse_density_perfect_squares():
     s = SparseDensitySequence(2)
     pre = s.prefix(100)
