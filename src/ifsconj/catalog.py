@@ -9,6 +9,7 @@ machinery depends on. All maps fix the origin.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -116,14 +117,29 @@ def _bump(shape: str, amplitude, x):
     return _quotient(_rational_near, _rational_far, amplitude, x)
 
 
+def _bump_slope(shape: str, amplitude, x):
+    if shape == SHAPE_SINE:
+        return amplitude * np.cos(x)
+    return _quotient(_rational_slope_near, _rational_slope_far, amplitude, x)
+
+
 def _value(kind: str, shape: str | None, k, c, x):
     """k*x plus the nonlinear term of the kind; k and c are a map's scalars,
-    or the (rows, 1) columns of a MapStack."""
+    the (rows, 1) columns of a MapStack, or the entry arrays of a taken one."""
     if kind == KIND_LINEAR:
         return k * np.asarray(x) if np.ndim(x) else k * x
     if kind == KIND_LIPSCHITZ:
         return k * x + _bump(shape, c, x)
     return k * x + _quotient(_smooth_near, _smooth_far, c, x)
+
+
+def _slope(kind: str, shape: str | None, k, c, x):
+    """The exact derivative of _value's map at x, with the same arguments."""
+    if kind == KIND_LINEAR:
+        return k * np.ones_like(x, dtype=float) if np.ndim(x) else k
+    if kind == KIND_LIPSCHITZ:
+        return k + _bump_slope(shape, c, x)
+    return k + _quotient(_smooth_slope_near, _smooth_slope_far, c, x)
 
 
 @dataclass(frozen=True)
@@ -153,9 +169,7 @@ class Perturbation:
         return _bump(self.shape, self.amplitude, x)
 
     def derivative(self, x):
-        if self.shape == SHAPE_SINE:
-            return self.amplitude * np.cos(x)
-        return _quotient(_rational_slope_near, _rational_slope_far, self.amplitude, x)
+        return _bump_slope(self.shape, self.amplitude, x)
 
 
 @dataclass(frozen=True)
@@ -193,11 +207,8 @@ class ScalarMap:
 
     def derivative(self, x):
         """Exact analytic derivative at x."""
-        if self.kind == KIND_LINEAR:
-            return self.k * np.ones_like(x, dtype=float) if np.ndim(x) else self.k
-        if self.kind == KIND_LIPSCHITZ:
-            return self.k + self.perturbation.derivative(x)
-        return self.k + _quotient(_smooth_slope_near, _smooth_slope_far, self.c, x)
+        shape, c = self._term
+        return _slope(self.kind, shape, self.k, c, x)
 
     @property
     def derivative_extrema(self) -> tuple[float, ...]:
@@ -254,8 +265,8 @@ class MapStack:
     """Catalog maps of one kind and bump shape, evaluated row by row.
 
     Called on a (rows, n) array, it maps row r through maps[r] with the
-    arithmetic of ScalarMap.__call__, so each row carries the bits its map
-    gives alone.
+    arithmetic of ScalarMap.__call__, and derivative with that of
+    ScalarMap.derivative, so each row carries the bits its map gives alone.
     """
 
     def __init__(self, maps):
@@ -268,6 +279,16 @@ class MapStack:
 
     def __call__(self, x):
         return _value(self.kind, self.shape, self.k, self.c, x)
+
+    def derivative(self, x):
+        return _slope(self.kind, self.shape, self.k, self.c, x)
+
+    def take(self, rows):
+        """The maps[r] for r in rows, an index array, as a stack that maps
+        entry i of a 1-D array through maps[rows[i]]."""
+        out = copy.copy(self)
+        out.k, out.c = self.k[rows, 0], self.c[rows, 0]
+        return out
 
 
 def linear(k: float) -> ScalarMap:

@@ -392,8 +392,9 @@ def _run_distance(args):
         f = F.maps[rep.argmax_pair[0] - 1]
         g = G.maps[rep.argmax_pair[1] - 1]
         xs = np.linspace(-radius, radius, args.grid)
-        vgap = np.abs(np.asarray(f(xs)) - np.asarray(g(xs)))
-        dgap = np.abs(np.asarray(f.derivative(xs)) - np.asarray(g.derivative(xs)))
+        with np.errstate(over="ignore", invalid="ignore"):  # as ifs_distance
+            vgap = np.abs(np.asarray(f(xs)) - np.asarray(g(xs)))
+            dgap = np.abs(np.asarray(f.derivative(xs)) - np.asarray(g.derivative(xs)))
         csv_table = (["x", "value_gap", "derivative_gap"], (xs, vgap, dgap))
     resolved = {"input": doc, "level": args.level, "grid": args.grid, "radius": radius}
     return resolved, report, csv_table, 0

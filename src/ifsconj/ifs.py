@@ -8,6 +8,7 @@ composite applies maps in sequence order, first symbol innermost:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,9 +79,11 @@ def effective_slope(F: IfsDescriptor, sigma: SymbolSequence, n: int) -> float:
             raise UnsupportedMapError(
                 f"effective_slope needs linear maps; map {i + 1} is {m.kind!r}"
             )
-    syms = _symbols_for(F, sigma, n)
-    picked = np.array([m.k for m in F.maps])[syms - 1]
-    if not picked.all():  # inf * 0 would be nan
-        return -0.0 if np.signbit(picked).sum() % 2 else 0.0
-    with np.errstate(over="ignore"):
-        return float(np.prod(picked))
+    slopes = [float(m.k) for m in F.maps]
+    picked = [slopes[s - 1] for s in _symbols_for(F, sigma, n).tolist()]
+    if 0.0 in picked:  # inf * 0 would be nan
+        negative = sum(math.copysign(1.0, k) < 0.0 for k in picked)
+        return -0.0 if negative % 2 else 0.0
+    # Python floats overflow to +-inf silently, and math.prod multiplies in
+    # order, as np.prod does
+    return math.prod(picked)

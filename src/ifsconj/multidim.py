@@ -79,7 +79,8 @@ def diag_compose(maps, sigma: SymbolSequence, n: int, X) -> np.ndarray:
 
     As in ifs.effective_slope, a product past the float range is +-inf, and
     a zero entry makes its coordinate's product the zero of the product's
-    sign, even after an overflow.
+    sign, even after an overflow. A zero coordinate of X maps to a zero, even
+    through a product that overflowed.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -97,7 +98,11 @@ def diag_compose(maps, sigma: SymbolSequence, n: int, X) -> np.ndarray:
             nonzero = picked.all(axis=0)
             products = np.where(np.signbit(picked).sum(axis=0) % 2, -0.0, 0.0)
             products[nonzero] = np.prod(picked[:, nonzero], axis=0)
-    return products * X
+    with np.errstate(invalid="ignore"):  # inf * 0, the nan of 0 * (+-inf) too
+        out = products * X
+    # a linear composite maps a zero coordinate to a zero, also where its
+    # product overflowed; the sign is that of the steps taken one by one
+    return np.where(X == 0, np.copysign(0.0, products) * X, out)
 
 
 @dataclass(frozen=True)

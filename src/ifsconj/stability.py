@@ -2,11 +2,14 @@
 hyperbolicity audits and an empirical perturbation probe.
 
 All suprema are taken over the working interval [-R, R]. Inverse values
-needed by the C0 distance are found by bisection; the bracket expands past
-the working interval when the target lies beyond the map's image of it, so
-the inverse gap matches the global inverse of the (strictly monotone)
-catalog maps. Each call computes the grid data of every map it compares
-once (values, inverse, derivative) and reduces pairs from those profiles.
+needed by the C0 distance are found by bracketed Newton steps on the
+catalog's exact derivative (rootfind); the bracket expands past the working
+interval when the target lies beyond the map's image of it, so the inverse
+gap matches the global inverse of the (strictly monotone) catalog maps.
+The grids are evaluated with overflow ignored: a map with a huge slope
+gives +-inf, the IEEE value of k*x, without a RuntimeWarning. Each call
+computes the grid data of every map it compares once (values, inverse,
+derivative) and reduces pairs from those profiles.
 The perturbation probe profiles the candidates of its pending trials
 together: map i of every candidate is evaluated and inverted as one row of
 a catalog.MapStack, bit for bit as alone. An admitted trial's weak
@@ -61,6 +64,11 @@ def _check_monotone(f: ScalarMap, radius: float):
         )
 
 
+# k*x past the float range is +-inf, the IEEE value of f(x), so the grid
+# evaluations of a map with a huge slope do not warn
+_grid_errstate = np.errstate(over="ignore")
+
+
 @dataclass(frozen=True)
 class _MapProfile:
     """One map's data on the grid: f(xs), the inverse at xs and f'(xs)."""
@@ -76,6 +84,7 @@ def _check_grid(grid_size: int) -> None:
         raise ValueError("grid_size must be >= 2")
 
 
+@_grid_errstate
 def _profiles(maps, grid_size: int, radius: float) -> list[_MapProfile]:
     """Profiles of maps on the grid; every map is checked before any is evaluated."""
     for f in maps:
@@ -89,6 +98,7 @@ def _profiles(maps, grid_size: int, radius: float) -> list[_MapProfile]:
     return out
 
 
+@np.errstate(invalid="ignore")  # inf - inf where both maps leave the float range
 def _reduce(pf: _MapProfile, pg: _MapProfile) -> tuple[float, float, int]:
     """(rho0, rho1, excluded inverse points) of one pair of profiles."""
     value_gap = float(np.max(np.abs(pf.values - pg.values)))
@@ -195,6 +205,7 @@ def _classify_fixed_point(f: ScalarMap, p: float) -> FixedPointRecord:
     return FixedPointRecord(p, d, margin, verdict)
 
 
+@_grid_errstate
 def _fixed_points_of(f: ScalarMap, radius: float, grid: int) -> list[float]:
     xs = np.linspace(-radius, radius, grid)
     vals = np.asarray(f(xs), dtype=float) - xs
@@ -303,6 +314,7 @@ def _jitter_map(f: ScalarMap, scale: float, rng) -> ScalarMap:
 _PROBE_ROWS = 32
 
 
+@_grid_errstate
 def _candidate_profiles(cands, radius: float) -> list[list[_MapProfile] | None]:
     """_profiles of every candidate family, or None where _profiles would
     raise: a map not strictly monotone. Map i of all the monotone candidates

@@ -385,6 +385,39 @@ def test_multidim_similarity_overflow_exit_1(tmp_path, capsys):
     )
 
 
+HUGE_SLOPE_MAPS = [{"kind": "linear", "k": 1e308}, {"kind": "linear", "k": 0.5}]
+
+
+def test_distance_of_a_huge_slope_leaks_no_warning(tmp_path):
+    # k*x overflows on the grid; the pair of equal huge slopes differs by
+    # inf - inf there. pytest turns a leaked RuntimeWarning into a failure
+    doc = {"maps": HUGE_SLOPE_MAPS, "g_maps": [{"kind": "linear", "k": 1e308}, {"kind": "linear", "k": 0.4}]}
+    inp = write(tmp_path, "huge.json", doc)
+    for fmt in ("json", "csv"):
+        out = str(tmp_path / f"distance.{fmt}")
+        assert main(["distance", "--input", inp, "--output", out, "--format", fmt]) == 0
+    report = read_report(str(tmp_path / "distance.json"))["report"]
+    assert report["d0"] == report["d1"] == "inf"
+
+
+def test_audit_of_a_huge_slope_leaks_no_warning(tmp_path):
+    inp = write(tmp_path, "huge.json", {"maps": HUGE_SLOPE_MAPS})
+    out = str(tmp_path / "audit.json")
+    assert main(["audit", "--input", inp, "--output", out]) == 0
+    assert read_report(out)["report"]["verdict"] == "hyperbolic"
+
+
+@pytest.mark.parametrize("maps, message", [
+    (HUGE_SLOPE_MAPS, "probe requires the maps of F in one slope interval"),
+    ([{"kind": "linear", "k": 1e308}, {"kind": "linear", "k": 2.0}],
+     "no admissible perturbation within delta=0.01 after 400 attempts"),
+])
+def test_probe_of_a_huge_slope_leaks_no_warning(tmp_path, capsys, maps, message):
+    inp = write(tmp_path, "huge.json", {"maps": maps})
+    assert main(["probe", "--input", inp, "--trials", "4"]) == 1
+    assert capsys.readouterr().err == f"ifsconj probe: {message}\n"
+
+
 @pytest.mark.parametrize("x", [["a", 1.0], [1.0, True], [1.0, 2.0, 3.0]])
 def test_multidim_bad_x_names_the_field(tmp_path, capsys, x):
     doc = {
@@ -666,9 +699,12 @@ PINNED_REPORTS = {
     ("orbit", "csv"): "1cdd073da0028db4aae237d2740ece401668e5fbde072ca95d1199d6a3352091",
     ("classify", "json"): "fa52e144686c74e1e0b1dbac6a3bab9c00a591ed65743f3bb541b5a1dfe7c6b9",
     ("classify", "csv"): "e8f94fe781f0991c82382264a556d74ee5c8a3327cc3cb9002a3d1ae551be429",
-    ("distance-level0", "json"): "eea933702793d7ec8e39800cdec65781383acd88fc72e7a03ed6bb1c0e0f71b7",
+    # re-pinned when the inverse took Newton steps in place of bisection: d0
+    # 45.15474951837845 -> 45.15474951837848, whose exact value (a 40-digit
+    # root) is 45.1547495183784728; d1 46.084902150562876 -> ...904
+    ("distance-level0", "json"): "6dd92d897db58d0c61a664133fa31183e53f9b179e369542cf3831f032bad543",
     ("distance-level0", "csv"): "3f75d5d19a64095a3041d2b4a194701449c4d8caa7b0bcbb473aacf2ddb3304e",
-    ("distance-level1", "json"): "b78eb09b98d1d1949bba8531f788345ba0f4b1d863436ee2cbeda0ed3f3ead72",
+    ("distance-level1", "json"): "99c3a89d7620d1191f42187cee550ff72e5e6d6244eceedb2b836211bcd05673",
     ("distance-level1", "csv"): "3f75d5d19a64095a3041d2b4a194701449c4d8caa7b0bcbb473aacf2ddb3304e",
     # re-pinned when the monotonicity check began to read f' at its extrema:
     # a candidate with f'(pi) = -3e-7 is now redrawn (attempts 12 -> 13)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifsconj import (
     ExplicitSequence,
@@ -68,6 +70,35 @@ def test_effective_slope_zero_slope_gives_signed_zero(k1, k2, syms, expected):
     # pytest turns a leaked invalid-value warning into a failure
     F = IfsDescriptor((linear(k1), linear(k2)))
     assert effective_slope(F, ExplicitSequence(syms), len(syms)).hex() == expected
+
+
+def prod_reference(picked):
+    """The np.prod form effective_slope had, with its zero rule."""
+    picked = np.array(picked)
+    if not picked.all():
+        return -0.0 if np.signbit(picked).sum() % 2 else 0.0
+    with np.errstate(over="ignore", under="ignore"):
+        return float(np.prod(picked))
+
+
+# zeros of both signs, factors that overflow or reach the subnormals
+# together, and ordinary slopes
+factors = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e200, -1e200, 1e-200, -1e-200, 5e-324, 0.5, -2.0]),
+    st.floats(-1e10, 1e10),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(slopes=st.lists(factors, min_size=1, max_size=4), data=st.data())
+def test_effective_slope_bits_equal_np_prod(slopes, data):
+    syms = data.draw(st.lists(st.integers(1, len(slopes)), min_size=1, max_size=200))
+    F = IfsDescriptor(tuple(linear(k) for k in slopes))
+    sigma = ExplicitSequence(tuple(syms), alphabet=F.alphabet)
+    got = effective_slope(F, sigma, len(syms))
+    assert type(got) is float
+    assert got.hex() == prod_reference([slopes[s - 1] for s in syms]).hex()
 
 
 def test_effective_slope_rejects_nonlinear():

@@ -87,6 +87,25 @@ def test_diag_compose_zero_entry_after_overflow_is_a_signed_zero():
     assert out.tobytes() == np.array([-math.inf, math.inf]).tobytes()
 
 
+def test_diag_compose_maps_zero_to_zero_after_overflow():
+    # the product 1e200 * 1e200 overflows; a composite of linear maps still
+    # maps 0 to 0, signed as the steps taken one by one, with no
+    # RuntimeWarning
+    maps = [DiagonalMap((1e200,))]
+    out = diag_compose(maps, ExplicitSequence((1, 1), alphabet=(1,)), 2, np.zeros(1))
+    assert out.tobytes() == np.array([0.0]).tobytes()
+    maps = [DiagonalMap((-1e200, 1e200)), DiagonalMap((0.5, -1e200))]
+    sigma = ExplicitSequence((1, 2, 1), alphabet=(1, 2))
+    X = np.array([[0.0, -0.0], [-0.0, 0.0], [2.0, 1.0]])
+    stepped = X.copy()
+    with np.errstate(over="ignore"):
+        for s in (1, 2, 1):
+            stepped = maps[s - 1](stepped)
+    out = diag_compose(maps, sigma, 3, X)
+    assert out.tobytes() == stepped.tobytes()
+    assert [v.hex() for v in out[:2].ravel()] == ["0x0.0p+0", "0x0.0p+0", "-0x0.0p+0", "-0x0.0p+0"]
+
+
 def test_diag_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         diag_compose(
