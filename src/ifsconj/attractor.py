@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .catalog import ScalarMap, estimate_lipschitz
+from .catalog import ScalarMap
 from .defaults import DEFAULT_RADIUS
 from .errors import HypothesisError
 from .ifs import IfsDescriptor
@@ -52,7 +52,7 @@ def _contraction_of(m, radius: float) -> float:
         return m.contraction
     if isinstance(m, DiagonalMap):
         return float(np.max(np.abs(m.array)))
-    return estimate_lipschitz(m, (-radius, radius), 256)
+    return max(map(abs, m.derivative_range(radius)))  # sup |f'| on [-R, R]
 
 
 def chaos_game(
@@ -68,7 +68,7 @@ def chaos_game(
 
     maps may be an IfsDescriptor, a list of catalog/affine maps, or a list
     of DiagonalMap for vector sampling. Every map must be contractive on the
-    working interval.
+    working interval, sup |f'| < 1 there (ScalarMap.derivative_range).
     """
     family = list(maps.maps if isinstance(maps, IfsDescriptor) else maps)
     if not family:
@@ -81,7 +81,7 @@ def chaos_game(
         raise ValueError("affine maps require allow_affine=True (demo extension)")
 
     for i, m in enumerate(family):
-        if _contraction_of(m, radius) >= 1.0:
+        if not _contraction_of(m, radius) < 1.0:
             raise HypothesisError(f"map {i + 1} is not contractive on the interval")
 
     rng = np.random.default_rng(seed)

@@ -214,9 +214,13 @@ class ScalarMap:
     def derivative_extrema(self) -> tuple[float, ...]:
         """Zeros of f'' nearest 0, where f' takes its extremes.
 
+        The contract: on any [-R, R], f' takes its least and greatest values
+        at +-R or at those of these points that lie inside, so the two ends
+        and these points give the exact range of f' (derivative_range).
         The sine bump's f' is 2*pi-periodic with extremes at j*pi, so -pi, 0
         and pi reach both; the rational bump has them at 0 and +-sqrt(3), the
-        smooth rational-quadratic map at +-1/sqrt(3). Linear maps have none.
+        smooth rational-quadratic map at +-1/sqrt(3), and past them f' tends
+        monotonically to k. Linear maps have none.
         """
         if self.kind == KIND_LIPSCHITZ and self.perturbation.shape == SHAPE_SINE:
             return (-math.pi, 0.0, math.pi)
@@ -225,6 +229,17 @@ class ScalarMap:
         if self.kind == KIND_SMOOTH:
             return (-1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0))
         return ()
+
+    @np.errstate(over="ignore")  # k + c past the float range is +-inf
+    def derivative_range(self, radius: float) -> tuple[float, float]:
+        """(least, greatest) f' on [-radius, radius], read at +-radius and at
+        the derivative_extrema inside; nan for both if f' is nan anywhere.
+        ValueError for a radius that is not positive."""
+        if not radius > 0:
+            raise ValueError("interval is degenerate")
+        xs = [-radius, radius, *(x for x in self.derivative_extrema if abs(x) <= radius)]
+        d = self.derivative(np.array(xs))
+        return float(d.min()), float(d.max())
 
     @property
     def slope_at_zero(self) -> float:
@@ -329,5 +344,6 @@ def estimate_lipschitz(f: ScalarMap, interval: tuple[float, float], samples: int
     if not lo < hi:
         raise ValueError("interval is degenerate")
     xs = np.linspace(lo, hi, samples)
-    fx = np.asarray(f(xs), dtype=float)
+    with np.errstate(over="ignore"):  # k*x past the float range is +-inf
+        fx = np.asarray(f(xs), dtype=float)
     return _kernels.pairwise_quotient_max(xs, fx)

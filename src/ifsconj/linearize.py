@@ -300,12 +300,12 @@ def classify_sequence_fate(
 
     log_slopes = np.log(np.abs(slopes))
     log_g = np.cumsum(log_slopes[syms - 1])
-    orbit_g = np.exp(log_g) * abs(x0)
 
     a1 = float(np.max(np.abs(slopes[contracting])))
     a2 = float(np.max(np.abs(slopes[~contracting])))
     log_bound = n1 * math.log(a1 + epsilon) + n2 * math.log(a2 + epsilon)
     with np.errstate(over="ignore"):
+        orbit_g = np.exp(log_g) * abs(x0)
         bound = np.exp(log_bound) * abs(x0)
 
     with np.errstate(over="ignore"):

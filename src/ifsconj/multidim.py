@@ -252,8 +252,9 @@ class SimilarityIfs:
             )
         object.__setattr__(self, "A", A)
         inv = np.linalg.inv(A)
-        gap = float(np.max(np.abs(A @ inv - np.eye(m))))
-        if gap > 1e-10:
+        with np.errstate(invalid="ignore"):  # inf*0 where A holds an inf
+            gap = float(np.max(np.abs(A @ inv - np.eye(m))))
+        if not gap <= 1e-10:  # a nan gap fails too
             raise ValueError(f"A times its computed inverse is off the identity by {gap:.3e}")
         object.__setattr__(self, "A_inverse", inv)
 

@@ -7,14 +7,13 @@ catalog's exact derivative (rootfind); the bracket expands past the working
 interval when the target lies beyond the map's image of it, so the inverse
 gap matches the global inverse of the (strictly monotone) catalog maps.
 The grids are evaluated with overflow ignored: a map with a huge slope
-gives +-inf, the IEEE value of k*x, without a RuntimeWarning. Each call
-computes the grid data of every map it compares once (values, inverse,
-derivative) and reduces pairs from those profiles.
-The perturbation probe profiles the candidates of its pending trials
-together: map i of every candidate is evaluated and inverted as one row of
-a catalog.MapStack, bit for bit as alone. An admitted trial's weak
-conjugacies of the linear parts are checked by the test the grid residual
-reduces to (_holds_on_grid).
+gives +-inf, the IEEE value of k*x, without a RuntimeWarning. Maps must be
+strictly monotone, read from their exact f' range. Each call profiles the
+maps it compares once (values, inverse, derivative on the grid) as rows of
+catalog.MapStack stacks, bit for bit as alone: a one-row stack per map, or
+in the perturbation probe one per map index, a row per candidate. An
+admitted trial's weak conjugacies of the linear parts are checked by the
+test the grid residual reduces to (_holds_on_grid).
 """
 
 from __future__ import annotations
@@ -50,18 +49,12 @@ class MetricReport:
     inverse_points_excluded: int
 
 
-def _check_monotone(f: ScalarMap, radius: float):
-    """f' of one sign on a 1024-point grid of [-R, R], and not of the other
-    sign at the extrema of f' there (an isolated zero of f' keeps f strictly
-    monotone)."""
-    xs = np.linspace(-radius, radius, 1024)
-    crit = [x for x in f.derivative_extrema if abs(x) <= radius]
-    d = np.asarray(f.derivative(np.append(xs, crit)), dtype=float)
-    d, dc = d[:xs.size], d[xs.size:]
-    if not ((np.all(d > 0) and np.all(dc >= 0)) or (np.all(d < 0) and np.all(dc <= 0))):
-        raise InvertibilityError(
-            "map is not strictly monotone on the working interval"
-        )
+def _is_monotone(f: ScalarMap, radius: float) -> bool:
+    """Whether f is strictly monotone on [-R, R]: its exact f' range is
+    >= 0 and not all 0, or the reverse (f' of a catalog map is analytic, so
+    a zero of f' in a range of one sign is isolated)."""
+    lo, hi = f.derivative_range(radius)
+    return lo >= 0 < hi or hi <= 0 > lo
 
 
 # k*x past the float range is +-inf, the IEEE value of f(x), so the grid
@@ -84,21 +77,25 @@ def _check_grid(grid_size: int) -> None:
         raise ValueError("grid_size must be >= 2")
 
 
+def _stack_profiles(stack: MapStack, xs: np.ndarray, radius: float) -> list[_MapProfile]:
+    """The profiles of a stack's rows on the grid xs."""
+    grid = np.broadcast_to(xs, (len(stack.k), xs.size))
+    inverse, valid = monotone_inverse_batch(stack, grid, -radius, radius)
+    return list(map(_MapProfile, stack(grid), inverse, valid, stack.derivative(grid)))
+
+
 @_grid_errstate
 def _profiles(maps, grid_size: int, radius: float) -> list[_MapProfile]:
-    """Profiles of maps on the grid; every map is checked before any is evaluated."""
-    for f in maps:
-        _check_monotone(f, radius)
+    """Profiles of maps on the grid, one stack row each; every map is checked
+    before any is evaluated."""
+    if not all(_is_monotone(f, radius) for f in maps):
+        raise InvertibilityError("map is not strictly monotone on the working interval")
     xs = np.linspace(-radius, radius, grid_size)
-    out = []
-    for f in maps:
-        values = np.asarray(f(xs))
-        inverse, valid = monotone_inverse_batch(f, xs, -radius, radius)
-        out.append(_MapProfile(values, inverse, valid, np.asarray(f.derivative(xs))))
-    return out
+    return [_stack_profiles(MapStack([f]), xs, radius)[0] for f in maps]
 
 
-@np.errstate(invalid="ignore")  # inf - inf where both maps leave the float range
+# a gap past the float range is inf, and inf - inf, where both values left it, nan
+@np.errstate(over="ignore", invalid="ignore")
 def _reduce(pf: _MapProfile, pg: _MapProfile) -> tuple[float, float, int]:
     """(rho0, rho1, excluded inverse points) of one pair of profiles."""
     value_gap = float(np.max(np.abs(pf.values - pg.values)))
@@ -149,7 +146,9 @@ def ifs_distance(
     Note the cross-pair maximum compares every map of F against every map of
     G, so it is bounded below by the spread of the families themselves; two
     IFSs listing the same maps in different order still get a positive
-    value. This quirk is intentional and documented, not a bug.
+    value. This quirk is intentional and documented, not a bug. A pair
+    distance that is nan (both maps past the float range at a grid point)
+    makes the family distance nan, and argmax_pair names the first such pair.
     """
     if level not in (0, 1):
         raise ValueError("level must be 0 or 1")
@@ -158,19 +157,12 @@ def ifs_distance(
         return IfsDistanceReport(0.0, 0.0 if level == 1 else None, None, True)
     profiles = _profiles((*F.maps, *G.maps), grid_size, radius)
     n = len(F.maps)
-    pfs, pgs = profiles[:n], profiles[n:]
-    d0 = d1 = best = -1.0
-    best_pair = None
-    for i, pf in enumerate(pfs):
-        for j, pg in enumerate(pgs):
-            r0, r1, _ = _reduce(pf, pg)
-            d0 = max(d0, r0)
-            d1 = max(d1, r1)
-            val = r1 if level == 1 else r0
-            if val > best:
-                best = val
-                best_pair = (i + 1, j + 1)
-    return IfsDistanceReport(d0, d1 if level == 1 else None, best_pair, False)
+    # (rho0, rho1) of every cross pair, F's index major; np.argmax takes
+    # the first nan or else the first maximum
+    r = np.array([_reduce(pf, pg)[:2] for pf in profiles[:n] for pg in profiles[n:]])
+    d0, d1 = (float(v) for v in r.max(axis=0))
+    i, j = divmod(int(np.argmax(r[:, level])), len(G.maps))
+    return IfsDistanceReport(d0, d1 if level == 1 else None, (i + 1, j + 1), False)
 
 
 @dataclass(frozen=True)
@@ -318,28 +310,15 @@ _PROBE_ROWS = 32
 def _candidate_profiles(cands, radius: float) -> list[list[_MapProfile] | None]:
     """_profiles of every candidate family, or None where _profiles would
     raise: a map not strictly monotone. Map i of all the monotone candidates
-    is evaluated and inverted as one row stack."""
+    is one stack, a row per candidate."""
+    rows = [c for c, maps in enumerate(cands) if all(_is_monotone(f, radius) for f in maps)]
     out = [None] * len(cands)
-    rows = []  # the monotone candidates, one stack row each
-    for c, maps in enumerate(cands):
-        try:
-            for f in maps:
-                _check_monotone(f, radius)
-        except InvertibilityError:
-            continue
-        rows.append(c)
-        out[c] = []
-    if not rows:
-        return out
-    xs = np.linspace(-radius, radius, _PROBE_GRID)
-    grid = np.broadcast_to(xs, (len(rows), xs.size))
-    for i in range(len(cands[0])):
-        stack = MapStack([cands[c][i] for c in rows])
-        values = stack(grid)
-        inverse, valid = monotone_inverse_batch(stack, grid, -radius, radius)
-        for r, c in enumerate(rows):
-            derivative = np.asarray(cands[c][i].derivative(xs))
-            out[c].append(_MapProfile(values[r], inverse[r], valid[r], derivative))
+    if rows:
+        xs = np.linspace(-radius, radius, _PROBE_GRID)
+        per_map = [_stack_profiles(MapStack([cands[c][i] for c in rows]), xs, radius)
+                   for i in range(len(cands[0]))]
+        for c, profiles in zip(rows, zip(*per_map)):
+            out[c] = list(profiles)
     return out
 
 

@@ -8,7 +8,10 @@ from ifsconj import (
     IfsDescriptor,
     build_linear_conjugacy,
     chaos_game,
+    estimate_lipschitz,
     linear,
+    linear_plus_lipschitz,
+    sine_bump,
 )
 from ifsconj.errors import HypothesisError
 from ifsconj.multidim import DiagonalMap
@@ -66,6 +69,19 @@ def test_affine_requires_flag():
 def test_non_contractive_rejected():
     with pytest.raises(HypothesisError):
         chaos_game(IfsDescriptor((linear(1.5),)), 100, 10, seed=1, x0=0.5)
+
+
+def test_contraction_is_read_from_the_exact_slope_range():
+    # sup f' = 0.5 + 0.5 = 1 at x = 0, between the points of a 256-point grid
+    # of [-10, 10], whose difference quotients stay below 1
+    f = linear_plus_lipschitz(0.5, sine_bump(0.5))
+    assert estimate_lipschitz(f, (-10.0, 10.0), 256) < 1.0
+    for maps in ([f], [linear(0.5), linear(float("nan"))]):
+        with pytest.raises(HypothesisError, match=f"map {len(maps)} is not contractive"):
+            chaos_game(maps, 100, 10, seed=1, x0=0.5)
+    # sup |f'| = 0.9
+    s = chaos_game([linear_plus_lipschitz(0.5, sine_bump(0.4))], 100, 10, seed=1, x0=0.5)
+    assert s.points.shape == (90,)
 
 
 def test_diagonal_chaos_game():

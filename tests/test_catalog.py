@@ -8,6 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ifsconj import (
+    chaos_game,
+    compare_maps,
     derivative_at,
     estimate_lipschitz,
     linear,
@@ -158,6 +160,55 @@ def test_estimate_lipschitz_within_budget(kind, k, c, slack, lo, width, samples)
     # grid step of width/(samples - 1)
     rounding = 8 * np.finfo(float).eps * (1 + max(abs(lo), abs(hi)) * samples / width)
     assert est <= f.lipschitz_budget * (1 + rounding)
+
+
+def test_estimate_lipschitz_of_a_huge_slope_leaks_no_warning():
+    # k*x is inf at the grid's ends; pytest turns a leaked RuntimeWarning
+    # into a failure
+    assert estimate_lipschitz(linear(1e308), (-10.0, 10.0), 64) >= 1e308
+
+
+# -- the closed-form range of f' -------------------------------------------------
+
+radii = st.one_of(st.sampled_from([0.5, 3.0, 10.0]), st.floats(0.01, 20.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(kind=st.sampled_from(KINDS), k=st.floats(-1.5, 1.5), c=st.floats(-1.5, 1.5),
+       radius=radii)
+def test_derivative_range_matches_a_dense_grid(kind, k, c, radius):
+    f = catalog_map(kind, k, c)
+    lo, hi = f.derivative_range(radius)
+    xs, step = np.linspace(-radius, radius, 100001, retstep=True)
+    d = f.derivative(xs)
+    # a grid point lies within step/2 of each extreme of f', where f'' is 0,
+    # so the grid misses it by at most |f'''|*step**2/8 (|f'''| <= 6|c| for
+    # every kind); the range and the grid round f' on their own
+    rounding = 8 * np.finfo(float).eps * (abs(k) + abs(c))
+    miss = abs(c) * step * step + rounding
+    assert lo - rounding <= d.min() <= lo + miss
+    assert hi - miss <= d.max() <= hi + rounding
+
+
+def test_derivative_range_reads_the_extrema_inside_the_interval():
+    f = linear_plus_lipschitz(0.5, sine_bump(0.3))
+    # pi lies outside [-1, 1]: the least f' there is at the ends
+    assert f.derivative_range(1.0) == (0.5 + 0.3 * math.cos(1.0), 0.8)
+    assert f.derivative_range(4.0) == (0.5 - 0.3, 0.8)
+    assert linear(-2.0).derivative_range(10.0) == (-2.0, -2.0)
+    assert all(math.isnan(v) for v in linear(float("nan")).derivative_range(10.0))
+
+
+@pytest.mark.parametrize("radius", [0.0, -10.0, math.nan])
+def test_derivative_range_refuses_a_degenerate_interval(radius):
+    # [-R, R] is a point or empty: the range, and the monotone and contraction
+    # checks read from it, refuse it as estimate_lipschitz does
+    f = linear_plus_lipschitz(0.3, sine_bump(0.5))
+    for call in (lambda: f.derivative_range(radius),
+                 lambda: compare_maps(f, linear(0.5), radius=radius),
+                 lambda: chaos_game([f], 10, 0, 1, 0.5, radius=radius)):
+        with pytest.raises(ValueError, match="interval is degenerate"):
+            call()
 
 
 def test_smooth_budget_covers_its_steepest_slope():

@@ -390,14 +390,25 @@ HUGE_SLOPE_MAPS = [{"kind": "linear", "k": 1e308}, {"kind": "linear", "k": 0.5}]
 
 def test_distance_of_a_huge_slope_leaks_no_warning(tmp_path):
     # k*x overflows on the grid; the pair of equal huge slopes differs by
-    # inf - inf there. pytest turns a leaked RuntimeWarning into a failure
+    # inf - inf there, so its distance and the family's are nan (the other
+    # pairs' are inf). pytest turns a leaked RuntimeWarning into a failure
     doc = {"maps": HUGE_SLOPE_MAPS, "g_maps": [{"kind": "linear", "k": 1e308}, {"kind": "linear", "k": 0.4}]}
     inp = write(tmp_path, "huge.json", doc)
     for fmt in ("json", "csv"):
         out = str(tmp_path / f"distance.{fmt}")
         assert main(["distance", "--input", inp, "--output", out, "--format", fmt]) == 0
     report = read_report(str(tmp_path / "distance.json"))["report"]
-    assert report["d0"] == report["d1"] == "inf"
+    assert report["d0"] == report["d1"] == "nan"
+    assert report["argmax_pair"] == [1, 1]
+
+
+def test_attractor_of_a_huge_slope_exits_1_without_a_warning(tmp_path, capsys):
+    # sup |f'| = 1e308 is read from the map, not estimated on a grid where
+    # k*x overflows
+    doc = {"maps": HUGE_SLOPE_MAPS, "iterations": 100, "seed": 1, "burn_in": 10, "x0": 0.5}
+    inp = write(tmp_path, "huge.json", doc)
+    assert main(["attractor", "--input", inp]) == 1
+    assert capsys.readouterr().err == "ifsconj attractor: map 1 is not contractive on the interval\n"
 
 
 def test_audit_of_a_huge_slope_leaks_no_warning(tmp_path):

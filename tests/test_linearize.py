@@ -336,6 +336,17 @@ def test_fate_sparse_lyapunov_band_at_scale():
     assert rep.predicted_fate == FATE_CONVERGES
 
 
+@pytest.mark.parametrize("maps, pattern, x0", [
+    ((linear(0.5), linear(1e308)), (1, 2), 1.0),
+    ((linear(0.5), linear(2.0)), (2, 1), 1e308),
+])
+def test_fate_orbit_past_the_float_range_leaks_no_warning(maps, pattern, x0):
+    # |g^n(x0)| past the float range is inf, as the bound is; pytest turns a
+    # leaked RuntimeWarning into a failure
+    rep = classify_sequence_fate(IfsDescriptor(maps), PeriodicSequence(pattern), 50, x0, 0.1)
+    assert np.isinf(rep.orbit_g_abs).any() and np.isinf(rep.bound).any()
+
+
 def test_fate_bernoulli_matches_expected_log_slope():
     p = 0.5
     rep = classify_sequence_fate(

@@ -275,6 +275,15 @@ def test_similarity_conjugacy_exact_example():
     assert out.conditioning_warning is None
 
 
+@pytest.mark.parametrize("entry", [5e-324, math.inf])
+def test_similarity_refuses_a_nan_identity_gap(entry):
+    # A times its computed inverse is nan: the gap check fails rather than
+    # passing on nan > 1e-10, and no RuntimeWarning leaks
+    A = np.array([[entry, 1.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="off the identity by nan"):
+        SimilarityIfs((DiagonalMap((0.5, 0.25)),), A)
+
+
 def test_similarity_identity_matrix():
     S = SimilarityIfs((DiagonalMap((0.5, 0.25)),), np.eye(2))
     sig = ExplicitSequence((1,), alphabet=(1,))

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ifsconj.stability as stab
@@ -324,6 +324,53 @@ def test_non_monotone_map_raises_before_any_pair():
         ifs_distance(F, G)
     with pytest.raises(InvertibilityError):
         paired_rho1_max(G, IfsDescriptor((linear(0.4), linear(0.3))))
+
+
+def test_ifs_distance_of_a_nan_pair_is_nan():
+    # k*x is inf at both ends of the grid for every map: inf - inf is nan
+    F = IfsDescriptor((linear(1e308),))
+    G = IfsDescriptor((linear(1e308), linear(1e308)))
+    assert math.isnan(compare_maps(F.maps[0], G.maps[0]).rho0)
+    for level in (0, 1):
+        rep = ifs_distance(F, G, level)
+        assert math.isnan(rep.d0) and rep.argmax_pair == (1, 1)
+        assert rep.d1 is None if level == 0 else math.isnan(rep.d1)
+
+
+SLOPES = st.sampled_from([1e308, -1e308, 2.0, 0.5, -0.5, 1e-20, 5e-324])
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(fs=st.lists(SLOPES, min_size=1, max_size=3), gs=st.lists(SLOPES, min_size=1, max_size=3),
+       level=st.sampled_from([0, 1]))
+def test_ifs_distance_is_never_negative(fs, gs, level):
+    F, G = (IfsDescriptor(tuple(map(linear, ks))) for ks in (fs, gs))
+    rep = ifs_distance(F, G, level, grid_size=65)
+    for d in (rep.d0, rep.d1) if level else (rep.d0,):
+        assert math.isnan(d) or d >= 0.0
+
+
+def catalog_map(kind, k, c):
+    if kind == "linear":
+        return linear(k)
+    if kind == "smooth":
+        return smooth(k, c)
+    return linear_plus_lipschitz(k, (sine_bump if kind == "sine" else rational_bump)(c))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(kind=st.sampled_from(["linear", "sine", "rational", "smooth"]),
+       k=st.floats(-1.5, 1.5), c=st.floats(-1.5, 1.5),
+       radius=st.one_of(st.sampled_from([0.5, 3.0, 10.0]), st.floats(0.01, 20.0)))
+def test_monotone_verdict_matches_a_dense_grid(kind, k, c, radius):
+    f = catalog_map(kind, k, c)
+    xs, step = np.linspace(-radius, radius, 100001, retstep=True)
+    d = f.derivative(xs)
+    # the grid decides where its least and greatest f' clear 0 by more than
+    # it can miss an extreme of f' between two points (at most |c|*step**2,
+    # see test_derivative_range_matches_a_dense_grid)
+    assume(min(abs(d.min()), abs(d.max())) > abs(c) * step * step + 1e-15)
+    assert stab._is_monotone(f, radius) == (d.min() > 0 or d.max() < 0)
 
 
 def test_probe_with_non_monotone_map_exhausts_budget():
