@@ -1,11 +1,16 @@
 """Command-line front door.
 
 Each subcommand reads a JSON document, dispatches to the library and emits a
-report (JSON by default, CSV where a per-row table makes sense). Exit codes
-distinguish outcomes so shell pipelines can branch on them:
+report (JSON by default, CSV where a per-row table makes sense). COMMANDS
+declares each subcommand once: its handler, help text, CSV header and the
+flags it reads, which are all the flags it accepts besides --input, --output
+and --format. FLAGS declares each flag once, with its argparse options and
+its validity rule; the rules of a subcommand's flags run before its handler.
+Exit codes distinguish outcomes so shell pipelines can branch on them:
 
     0   success / pass verdict
-    1   usage, schema or numeric error
+    1   usage, schema or numeric error (an unknown flag, a flag the
+        subcommand does not read, a flag value its rule refuses)
     2   verified mathematical obstruction (non-conjugate, non-hyperbolic,
         failed residual verdict)
 
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -129,7 +135,7 @@ def _radius(args, doc: dict) -> float:
 def _count(args, doc: dict, default):
     """The composition depth: --n-max, else the document's n, else default."""
     if args.n_max is not None:
-        return config.bounded_count(args.n_max, "--n-max")
+        return args.n_max
     if "n" in doc:
         return config.bounded_count(doc["n"], "document.n")
     return default
@@ -142,13 +148,14 @@ def _linear_slope(mp, name: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (resolved_config, report, csv, exit_code)
+# subcommand handlers; each returns (resolved_config, report, CSV columns or
+# None, exit_code), the columns in the order of its header in COMMANDS
 # ---------------------------------------------------------------------------
 
 def _build_and_verify(args):
     """Parse an {f, g} document, build h and verify it on the grid.
 
-    Returns (resolved_config, h, verification, csv, exit_code); the
+    Returns (resolved_config, h, verification, columns, exit_code); the
     conjugacy and verify handlers differ only in the report they make.
     """
     doc = _load_doc(args)
@@ -165,47 +172,26 @@ def _build_and_verify(args):
         raise SchemaError("bridge must be 'linear' or 'power-law'", field="bridge")
     anchor = float(doc.get("anchor", 1.0))
     radius = _radius(args, doc)
-    config.bounded_count(args.grid, "--grid", least=2)
-    resolved = {
-        "f": doc["f"],
-        "g": doc["g"],
-        "bridge": bridge,
-        "anchor": anchor,
-        "radius": radius,
-        "grid": args.grid,
-        "tolerance": args.tolerance,
-    }
+    resolved = {"f": doc["f"], "g": doc["g"], "bridge": bridge, "anchor": anchor,
+                "radius": radius, "grid": args.grid, "tolerance": args.tolerance}
     h = build_linear_conjugacy(_linear_slope(f, "f"), _linear_slope(g, "g"), anchor, bridge)
     rep = verify_conjugacy(f, g, h, args.grid, args.tolerance, radius)
-    csv_table = (["x", "h_x", "residual"], (rep.grid, rep.h_values, rep.residuals))
-    return resolved, h, rep, csv_table, 0 if rep.passed else 2
+    return resolved, h, rep, (rep.grid, rep.h_values, rep.residuals), 0 if rep.passed else 2
 
 
 def _run_conjugacy(args):
-    resolved, h, rep, csv_table, code = _build_and_verify(args)
-    report = {
-        "k": h.k,
-        "m": h.m,
-        "anchor": h.anchor,
-        "bridge": h.bridge,
-        "orientation": h.orientation,
-        "interval": h.interval_tag,
-        "residual_sup": rep.residual_sup,
-        "verdict": rep.verdict,
-    }
-    return resolved, report, csv_table, code
+    resolved, h, rep, columns, code = _build_and_verify(args)
+    report = {"k": h.k, "m": h.m, "anchor": h.anchor, "bridge": h.bridge,
+              "orientation": h.orientation, "interval": h.interval_tag,
+              "residual_sup": rep.residual_sup, "verdict": rep.verdict}
+    return resolved, report, columns, code
 
 
 def _run_verify(args):
-    resolved, _, rep, csv_table, code = _build_and_verify(args)
-    report = {
-        "residual_sup": rep.residual_sup,
-        "tolerance": rep.tolerance,
-        "verdict": rep.verdict,
-        "worst_point": rep.worst_point,
-        "grid_size": len(rep.grid),
-    }
-    return resolved, report, csv_table, code
+    resolved, _, rep, columns, code = _build_and_verify(args)
+    report = {"residual_sup": rep.residual_sup, "tolerance": rep.tolerance, "verdict": rep.verdict,
+              "worst_point": rep.worst_point, "grid_size": len(rep.grid)}
+    return resolved, report, columns, code
 
 
 def _scalar_ifs_doc(args, extra_required=None, extra_optional=None, need_sequence=True):
@@ -236,37 +222,25 @@ def _run_orbit(args):
     x0 = config.number_field(doc, "document", "x0")
     traj = orbit_trajectory(F, sigma, n, x0)
     syms = sigma.prefix(n)
-    report = {
-        "n": n,
-        "x0": x0,
-        "final": float(traj[-1]),
-        "trajectory": traj,
-        "symbols": syms,
-    }
+    report = {"n": n, "x0": x0, "final": float(traj[-1]), "trajectory": traj, "symbols": syms}
     if F.is_linear:
         report["effective_slope"] = effective_slope(F, sigma, n)
     resolved = {"input": doc, "radius": radius, "n": n}
-    csv_table = (["step", "symbol", "value"], (range(1, n + 1), syms, traj))
-    return resolved, report, csv_table, 0
+    return resolved, report, (range(1, n + 1), syms, traj), 0
 
 
 def _run_linearize(args):
     doc, F, _, radius = _scalar_ifs_doc(args, need_sequence=False)
     lp = linear_part(F)
-    report = {
-        "slopes": lp.slopes,
-        "interval_tags": list(lp.interval_tags),
-        "hg_case": lp.hg_case,
-    }
-    resolved = {"input": doc, "radius": radius}
-    return resolved, report, None, 0
+    report = {"slopes": lp.slopes, "interval_tags": list(lp.interval_tags), "hg_case": lp.hg_case}
+    return {"input": doc, "radius": radius}, report, None, 0
 
 
 def _run_classify(args):
     doc, F, sigma, radius = _scalar_ifs_doc(
         args, extra_required={"x0": float, "epsilon": float}
     )
-    n_max = config.bounded_count(args.n_max if args.n_max is not None else 400, "--n-max")
+    n_max = args.n_max if args.n_max is not None else 400
     x0 = config.number_field(doc, "document", "x0")
     eps = config.number_field(doc, "document", "epsilon")
     rep = classify_sequence_fate(F, sigma, n_max, x0, eps)
@@ -282,12 +256,9 @@ def _run_classify(args):
         "final_bound": float(rep.bound[-1]),
     }
     resolved = {"input": doc, "n_max": n_max, "radius": radius}
-    csv_table = (
-        ["n", "n1", "n2", "ratio", "orbit_F", "orbit_G", "bound"],
-        (rep.ns, rep.n1, rep.n2, rep.ratio_trajectory, rep.orbit_f_abs, rep.orbit_g_abs,
-         rep.bound),
-    )
-    return resolved, report, csv_table, 0
+    columns = (rep.ns, rep.n1, rep.n2, rep.ratio_trajectory, rep.orbit_f_abs,
+               rep.orbit_g_abs, rep.bound)
+    return resolved, report, columns, 0
 
 
 def _run_multidim(args):
@@ -333,14 +304,9 @@ def _run_multidim(args):
             out = similarity_conjugacy(S, sigma, n, np.asarray(X))
             residuals.append(out.residual)
             warning = warning or out.conditioning_warning
-        report = {
-            "route": "similarity",
-            "max_residual": max(residuals),
-            "samples": len(xs),
-            "conditioning_warning": warning,
-        }
-        csv_table = (["sample", "residual"], (range(len(residuals)), residuals))
-        return resolved, report, csv_table, 0
+        report = {"route": "similarity", "max_residual": max(residuals), "samples": len(xs),
+                  "conditioning_warning": warning}
+        return resolved, report, (range(len(residuals)), residuals), 0
 
     if "g_maps" not in doc:
         raise SchemaError(
@@ -358,16 +324,10 @@ def _run_multidim(args):
     )
     grid_per_axis = 17 if m >= 3 else 33
     residual = componentwise_residual(base, other, h, sigma, n, grid_per_axis, radius)
-    report = {
-        "route": "componentwise",
-        "residual": residual,
-        "grid_per_axis": grid_per_axis,
-        "components": [
-            {"k": c.k, "m": c.m, "orientation": c.orientation} for c in h.components
-        ],
-    }
-    csv_table = (["sample", "residual"], ([0], [residual]))
-    return resolved, report, csv_table, 0
+    report = {"route": "componentwise", "residual": residual, "grid_per_axis": grid_per_axis,
+              "components": [{"k": c.k, "m": c.m, "orientation": c.orientation}
+                             for c in h.components]}
+    return resolved, report, ([0], [residual]), 0
 
 
 def _run_distance(args):
@@ -378,16 +338,10 @@ def _run_distance(args):
     F = IfsDescriptor(tuple(config.parse_maps(doc["maps"])))
     G = IfsDescriptor(tuple(config.parse_maps(doc["g_maps"], "g_maps")))
     radius = _radius(args, doc)
-    config.bounded_count(args.grid, "--grid", least=2)
     rep = ifs_distance(F, G, args.level, args.grid, radius)
-    report = {
-        "level": args.level,
-        "d0": rep.d0,
-        "d1": rep.d1,
-        "argmax_pair": list(rep.argmax_pair) if rep.argmax_pair else None,
-        "identical": rep.identical,
-    }
-    csv_table = None
+    report = {"level": args.level, "d0": rep.d0, "d1": rep.d1, "identical": rep.identical,
+              "argmax_pair": list(rep.argmax_pair) if rep.argmax_pair else None}
+    columns = None
     if rep.argmax_pair is not None:
         f = F.maps[rep.argmax_pair[0] - 1]
         g = G.maps[rep.argmax_pair[1] - 1]
@@ -395,58 +349,32 @@ def _run_distance(args):
         with np.errstate(over="ignore", invalid="ignore"):  # as ifs_distance
             vgap = np.abs(np.asarray(f(xs)) - np.asarray(g(xs)))
             dgap = np.abs(np.asarray(f.derivative(xs)) - np.asarray(g.derivative(xs)))
-        csv_table = (["x", "value_gap", "derivative_gap"], (xs, vgap, dgap))
+        columns = (xs, vgap, dgap)
     resolved = {"input": doc, "level": args.level, "grid": args.grid, "radius": radius}
-    return resolved, report, csv_table, 0
+    return resolved, report, columns, 0
 
 
 def _run_audit(args):
     doc, F, _, radius = _scalar_ifs_doc(args, need_sequence=False)
     audit = hyperbolicity_audit(F, radius)
-    per_map = []
-    rows = []
-    for i, records in enumerate(audit.records):
-        entries = []
-        for r in records:
-            entries.append(
-                {
-                    "fixed_point": r.point,
-                    "derivative": r.derivative,
-                    "margin": r.margin,
-                    "verdict": r.verdict,
-                }
-            )
-            rows.append((i + 1, r.point, r.derivative, r.margin, r.verdict))
-        per_map.append(entries)
-    report = {
-        "fixed_points": per_map,
-        "all_hyperbolic": audit.all_hyperbolic,
-        "verdict": "hyperbolic" if audit.all_hyperbolic else "non-hyperbolic",
-    }
-    resolved = {"input": doc, "radius": radius}
+    rows = [(i, r.point, r.derivative, r.margin, r.verdict)
+            for i, records in enumerate(audit.records, 1) for r in records]
+    per_map = [[{"fixed_point": r.point, "derivative": r.derivative, "margin": r.margin,
+                 "verdict": r.verdict} for r in records] for records in audit.records]
+    report = {"fixed_points": per_map, "all_hyperbolic": audit.all_hyperbolic,
+              "verdict": "hyperbolic" if audit.all_hyperbolic else "non-hyperbolic"}
     # no fixed points: no columns, so the table is its header alone
-    csv_table = (["map", "fixed_point", "derivative", "margin", "verdict"], list(zip(*rows)))
-    return resolved, report, csv_table, 0 if audit.all_hyperbolic else 2
+    columns = list(zip(*rows))
+    return {"input": doc, "radius": radius}, report, columns, 0 if audit.all_hyperbolic else 2
 
 
 def _run_probe(args):
     doc, F, _, radius = _scalar_ifs_doc(args, need_sequence=False)
-    config.bounded_count(args.trials, "--trials")
     rep = perturbation_probe(F, args.delta, args.trials, args.seed or 0, radius)
-    report = {
-        "delta": rep.delta,
-        "trials": rep.trials,
-        "passes": rep.passes,
-        "pass_fraction": rep.pass_fraction,
-        "attempts": rep.attempts,
-    }
-    resolved = {
-        "input": doc,
-        "delta": args.delta,
-        "trials": args.trials,
-        "seed": args.seed or 0,
-        "radius": radius,
-    }
+    report = {"delta": rep.delta, "trials": rep.trials, "passes": rep.passes,
+              "pass_fraction": rep.pass_fraction, "attempts": rep.attempts}
+    resolved = {"input": doc, "delta": args.delta, "trials": args.trials,
+                "seed": args.seed or 0, "radius": radius}
     return resolved, report, None, 0
 
 
@@ -470,45 +398,70 @@ def _run_attractor(args):
     sample = chaos_game(
         maps, iterations, burn_in, seed, x0, allow_affine=allow_affine, radius=radius
     )
-    report = {
-        "iterations": iterations,
-        "burn_in": burn_in,
-        "seed": seed,
-        "count": len(sample.points),
-        "points": sample.points,
-    }
+    report = {"iterations": iterations, "burn_in": burn_in, "seed": seed,
+              "count": len(sample.points), "points": sample.points}
     resolved = {"input": doc, "seed": seed, "radius": radius}
-    csv_table = (["x"], (sample.points,))
-    return resolved, report, csv_table, 0
+    return resolved, report, (sample.points,), 0
 
 
-HANDLERS = {
-    "conjugacy": _run_conjugacy,
-    "verify": _run_verify,
-    "orbit": _run_orbit,
-    "linearize": _run_linearize,
-    "classify": _run_classify,
-    "multidim": _run_multidim,
-    "distance": _run_distance,
-    "audit": _run_audit,
-    "probe": _run_probe,
-    "attractor": _run_attractor,
+_H_COLUMNS = ("x", "h_x", "residual")
+# name -> (handler, help text, CSV header or None for a JSON-only report, the
+# flags the handler reads)
+COMMANDS = {
+    "conjugacy": (_run_conjugacy, "build a conjugacy between two linear maps and sample it",
+                  _H_COLUMNS, ("--grid", "--tolerance", "--radius")),
+    "verify": (_run_verify, "check the conjugacy equation residual for a map pair",
+               _H_COLUMNS, ("--grid", "--tolerance", "--radius")),
+    "orbit": (_run_orbit, "compose an orbit along a symbol sequence",
+              ("step", "symbol", "value"), ("--radius", "--n-max")),
+    "linearize": (_run_linearize, "slopes at zero, interval tags and applicable case",
+                  None, ("--radius",)),
+    "classify": (_run_classify, "ratio/decay fate analysis for mixed-slope families",
+                 ("n", "n1", "n2", "ratio", "orbit_F", "orbit_G", "bound"),
+                 ("--radius", "--n-max")),
+    "multidim": (_run_multidim, "componentwise or similarity conjugacy residuals in R^m",
+                 ("sample", "residual"), ("--seed", "--radius", "--n-max")),
+    "distance": (_run_distance, "C0/C1 cross-pair distance between two families",
+                 ("x", "value_gap", "derivative_gap"), ("--grid", "--radius", "--level")),
+    "audit": (_run_audit, "fixed-point hyperbolicity audit",
+              ("map", "fixed_point", "derivative", "margin", "verdict"), ("--radius",)),
+    "probe": (_run_probe, "sample nearby families and report the conjugate fraction",
+              None, ("--seed", "--radius", "--delta", "--trials")),
+    "attractor": (_run_attractor, "chaos-game attractor sampling",
+                  ("x",), ("--seed", "--radius")),
 }
 
-_CSV_NOTES = {
-    "conjugacy": "CSV columns: x, h_x, residual",
-    "verify": "CSV columns: x, h_x, residual",
-    "orbit": "CSV columns: step, symbol, value",
-    "classify": "CSV columns: n, n1, n2, ratio, orbit_F, orbit_G, bound",
-    "multidim": "CSV columns: sample, residual",
-    "distance": "CSV columns: x, value_gap, derivative_gap (argmax pair)",
-    "audit": "CSV columns: map, fixed_point, derivative, margin, verdict",
-    "attractor": "CSV columns: one point per row",
+# flag -> (argparse options, validity rule or None); a rule takes the parsed
+# value and the flag and raises SchemaError naming the flag
+FLAGS = {
+    "--input": ({"help": "path to the JSON input document"}, None),
+    "--output": ({"help": "report file path (atomic write); stdout if omitted"}, None),
+    "--format": ({"choices": ("json", "csv"), "default": "json"}, None),
+    "--seed": ({"type": int, "help": "seed override"}, None),
+    "--grid": ({"type": int, "default": 1001, "help": "grid points per check"},
+               functools.partial(config.bounded_count, least=2)),
+    "--tolerance": ({"type": float, "default": 1e-8, "help": "residual tolerance"},
+                    config.finite_non_negative),
+    "--radius": ({"type": float, "help": "working interval half-width "
+                  f"(default from document, else {DEFAULT_RADIUS})"}, config.positive_finite),
+    "--n-max": ({"type": int, "help": "composition depth override"}, config.bounded_count),
+    "--level": ({"type": int, "choices": (0, 1), "default": 1}, None),
+    "--delta": ({"type": float, "default": 0.01, "help": "admissible C1 distance"},
+                config.positive_finite),
+    "--trials": ({"type": int, "default": 50}, config.bounded_count),
 }
+_COMMON_FLAGS = ("--input", "--output", "--format")
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error exits 1, as the epilog says; 2 is an obstruction
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ifsconj",
         description=(
             "Numerically construct and verify topological conjugacies for "
@@ -518,59 +471,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "conjugacy": "build a conjugacy between two linear maps and sample it",
-        "verify": "check the conjugacy equation residual for a map pair",
-        "orbit": "compose an orbit along a symbol sequence",
-        "linearize": "slopes at zero, interval tags and applicable case",
-        "classify": "ratio/decay fate analysis for mixed-slope families",
-        "multidim": "componentwise or similarity conjugacy residuals in R^m",
-        "distance": "C0/C1 cross-pair distance between two families",
-        "audit": "fixed-point hyperbolicity audit",
-        "probe": "sample nearby families and report the conjugate fraction",
-        "attractor": "chaos-game attractor sampling",
-    }
-    for name, help_text in helps.items():
-        p = sub.add_parser(
-            name,
-            help=help_text,
-            description=help_text + ". " + _CSV_NOTES.get(name, "JSON report only."),
-            formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-        )
-        p.add_argument("--input", help="path to the JSON input document")
-        p.add_argument("--output", help="report file path (atomic write); stdout if omitted")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--grid", type=int, default=1001, help="grid points per check")
-        p.add_argument("--tolerance", type=float, default=1e-8, help="residual tolerance")
-        p.add_argument("--radius", type=float, default=None,
-                       help=f"working interval half-width (default from document, else {DEFAULT_RADIUS})")
-        p.add_argument("--n-max", dest="n_max", type=int, default=None,
-                       help="composition depth override")
-        if name == "distance":
-            p.add_argument("--level", type=int, choices=(0, 1), default=1)
-        if name == "probe":
-            p.add_argument("--delta", type=float, default=0.01, help="admissible C1 distance")
-            p.add_argument("--trials", type=int, default=50)
+    for name, (_, help_text, header, flags) in COMMANDS.items():
+        note = f"CSV columns: {', '.join(header)}." if header else "JSON report only."
+        p = sub.add_parser(name, help=help_text, description=f"{help_text}. {note}",
+                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        for flag in (*_COMMON_FLAGS, *flags):
+            p.add_argument(flag, **FLAGS[flag][0])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    run, _, header, flags = COMMANDS[args.command]
     try:
+        for flag in flags:
+            value, rule = getattr(args, flag[2:].replace("-", "_")), FLAGS[flag][1]
+            if rule is not None and value is not None:
+                rule(value, flag)
         try:
-            resolved, report, csv_table, code = HANDLERS[args.command](args)
+            resolved, report, columns, code = run(args)
         except ObstructionError as exc:
             # the handler raised before it resolved its configuration
-            resolved, csv_table, code = {"input": _load_doc(args)}, None, 2
+            resolved, columns, code = {"input": _load_doc(args)}, None, 2
             report = {
                 "verdict": "obstructed",
                 "reason": str(exc),
                 "obstruction": getattr(exc, "obstruction", None),
             }
             args.format = "json"  # obstruction reports have no row form
-        _emit(args, args.command, resolved, report, csv_table)
+        _emit(args, args.command, resolved, report, None if columns is None else (header, columns))
         return code
     except (IfsConjError, OSError, ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"ifsconj {args.command}: {exc}", file=sys.stderr)

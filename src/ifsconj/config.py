@@ -47,6 +47,21 @@ def bounded_count(value: int, field: str, least: int | None = None) -> int:
     return value
 
 
+def positive_finite(value: float, field: str) -> float:
+    """value, or SchemaError naming field unless 0 < value < inf: the rule of
+    a radius (--radius, domain.R) and of --delta."""
+    if not 0 < value < math.inf:
+        raise SchemaError(f"{field} must be positive and finite", field=field)
+    return value
+
+
+def finite_non_negative(value: float, field: str) -> float:
+    """value, or SchemaError naming field unless 0 <= value < inf."""
+    if not 0 <= value < math.inf:
+        raise SchemaError(f"{field} must be finite and non-negative", field=field)
+    return value
+
+
 def load_json(path: str):
     try:
         with open(path) as fh:
@@ -192,10 +207,7 @@ def parse_sequence(obj, ctx: str = "sequence", alphabet=(1, 2)) -> SymbolSequenc
 
 def parse_domain(obj, ctx: str = "domain") -> float:
     check_keys(obj, ctx, {"R": float})
-    r = number_field(obj, ctx, "R")
-    if not r > 0:
-        raise SchemaError(f"{ctx}.R must be positive", field=f"{ctx}.R")
-    return r
+    return positive_finite(number_field(obj, ctx, "R"), f"{ctx}.R")
 
 
 def parse_diagonal_maps(obj, dimension: int, ctx: str = "maps") -> list[DiagonalMap]:

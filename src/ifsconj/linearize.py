@@ -304,9 +304,12 @@ def classify_sequence_fate(
     a1 = float(np.max(np.abs(slopes[contracting])))
     a2 = float(np.max(np.abs(slopes[~contracting])))
     log_bound = n1 * math.log(a1 + epsilon) + n2 * math.log(a2 + epsilon)
-    with np.errstate(over="ignore"):
-        orbit_g = np.exp(log_g) * abs(x0)
-        bound = np.exp(log_bound) * abs(x0)
+    if x0 == 0:  # the orbit of 0 is 0, where an overflowed product times 0 is nan
+        orbit_g, bound = np.zeros((2, n_max))
+    else:
+        with np.errstate(over="ignore"):
+            orbit_g = np.exp(log_g) * abs(x0)
+            bound = np.exp(log_bound) * abs(x0)
 
     with np.errstate(over="ignore"):
         orbit_f = np.abs(orbit_trajectory(F, sigma, n_max, x0))

@@ -239,8 +239,11 @@ def hyperbolicity_audit(
 
     Roots of f(x) - x come from sign changes on the scan grid refined by
     bisection; tangential fixed points without a sign change can escape the
-    scan, which is a stated limitation of the grid method.
+    scan, which is a stated limitation of the grid method. ValueError for a
+    radius that is not positive.
     """
+    if not radius > 0:
+        raise ValueError("interval is degenerate")
     per_map = []
     for f in F.maps:
         pts = _fixed_points_of(f, radius, grid)

@@ -838,3 +838,139 @@ def test_grid_below_two_exits_1_naming_the_flag(tmp_path, capsys, monkeypatch, c
     inp = write(tmp_path, "doc.json", doc)
     assert main([command, "--input", inp, "--grid", grid]) == 1
     assert capsys.readouterr().err == f"ifsconj {command}: --grid must be at least 2\n"
+
+
+# -- flags: each subcommand accepts only the flags it reads ------------------
+
+COMMON_FLAGS = {"--input", "--output", "--format"}
+READ_FLAGS = {
+    "conjugacy": {"--grid", "--tolerance", "--radius"},
+    "verify": {"--grid", "--tolerance", "--radius"},
+    "orbit": {"--radius", "--n-max"},
+    "classify": {"--radius", "--n-max"},
+    "linearize": {"--radius"},
+    "audit": {"--radius"},
+    "multidim": {"--seed", "--radius", "--n-max"},
+    "distance": {"--grid", "--radius", "--level"},
+    "probe": {"--seed", "--radius", "--delta", "--trials"},
+    "attractor": {"--seed", "--radius"},
+}
+ALL_FLAGS = set().union(*READ_FLAGS.values())
+COMMAND_DOCS = {
+    "conjugacy": CONJ_DOC, "verify": CONJ_DOC, "orbit": ORBIT_DOC, "classify": CLASSIFY_DOC,
+    "linearize": LINEARIZE_DOC, "audit": AUDIT_DOC, "multidim": COMPONENTWISE_DOC,
+    "distance": DISTANCE_DOC, "probe": PROBE_DOC, "attractor": ATTRACTOR_DOC,
+}
+# every library call of a handler, each replaced by a failure below
+HANDLER_CALLS = LIBRARY_CALLS + ("linear_part", "hyperbolicity_audit")
+
+
+@pytest.fixture
+def no_library(monkeypatch):
+    for name in HANDLER_CALLS:
+        monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: pytest.fail(f"{_name} ran"))
+
+
+def subcommand_flags():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, cli.argparse._SubParsersAction))
+    return {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()}
+
+
+def test_each_subcommand_accepts_the_flags_it_reads():
+    assert subcommand_flags() == {name: COMMON_FLAGS | flags for name, flags in READ_FLAGS.items()}
+    assert sum(map(len, subcommand_flags().values())) == 54
+
+
+# all 8 flags were accepted by all 10 subcommands, so a flag nothing read
+# (orbit --grid 5) ran as if it were absent
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in READ_FLAGS for flag in sorted(ALL_FLAGS - READ_FLAGS[command])
+])
+def test_an_unread_flag_exits_1(tmp_path, capsys, no_library, command, flag):
+    inp = write(tmp_path, "doc.json", COMMAND_DOCS[command])
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", inp, flag, "1"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.err.endswith(f"ifsconj: error: unrecognized arguments: {flag} 1\n")
+    assert captured.out == ""
+
+
+# argparse exited 2, the code of a mathematical obstruction
+@pytest.mark.parametrize("argv, message", [
+    (["orbit", "--bogus", "1"], "ifsconj: error: unrecognized arguments: --bogus 1"),
+    ([], "ifsconj: error: the following arguments are required: command"),
+    (["verify", "--grid", "abc"], "ifsconj verify: error: argument --grid: invalid int value: 'abc'"),
+    (["distance", "--level", "2"], "ifsconj distance: error: argument --level: invalid choice: 2"),
+])
+def test_usage_errors_exit_1(capsys, no_library, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["probe", "--help"]])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code in (0, None)
+    assert capsys.readouterr().out
+
+
+# a flag's rule runs before the handler: the input document is never read,
+# so a missing one does not hide the flag's error ("--flag=-inf", as argparse
+# reads "-inf" alone as an option)
+def flag_refused(tmp_path, capsys, command, flag, value, message):
+    code = main([command, "--input", str(tmp_path / "absent.json"), f"{flag}={value}"])
+    captured = capsys.readouterr()
+    assert (code, captured.err, captured.out) == (1, f"ifsconj {command}: {flag} {message}\n", "")
+
+
+# --radius 0 gave audit a one-point grid, "a continuum of fixed points" with
+# exit 2, and --radius inf leaked "invalid value encountered in cos"
+@pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
+@pytest.mark.parametrize("command", list(READ_FLAGS))
+def test_radius_must_be_positive_and_finite(tmp_path, capsys, command, value):
+    flag_refused(tmp_path, capsys, command, "--radius", value, "must be positive and finite")
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan")])
+@pytest.mark.parametrize("command", list(READ_FLAGS))
+def test_domain_radius_must_be_positive_and_finite(tmp_path, capsys, no_library, command, value):
+    inp = write(tmp_path, "doc.json", {**COMMAND_DOCS[command], "domain": {"R": value}})
+    assert main([command, "--input", inp]) == 1
+    assert capsys.readouterr().err == f"ifsconj {command}: domain.R must be positive and finite\n"
+
+
+# a nan or negative tolerance gave the verdict fail with exit 2
+@pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["conjugacy", "verify"])
+def test_tolerance_must_be_finite_and_non_negative(tmp_path, capsys, command, value):
+    flag_refused(tmp_path, capsys, command, "--tolerance", value, "must be finite and non-negative")
+
+
+@pytest.mark.parametrize("value", ["0", "-0.01", "nan", "inf"])
+def test_delta_must_be_positive_and_finite(tmp_path, capsys, value):
+    flag_refused(tmp_path, capsys, "probe", "--delta", value, "must be positive and finite")
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, flags in READ_FLAGS.items()
+    for flag in sorted(flags & {"--grid", "--n-max", "--trials"})
+])
+def test_counts_are_at_most_max_count(tmp_path, capsys, command, flag):
+    flag_refused(tmp_path, capsys, command, flag, str(MAX_COUNT + 1), f"must be at most {MAX_COUNT}")
+
+
+def test_classify_orbit_of_zero_past_the_float_range(tmp_path, capsys):
+    # inf * 0 made the linear part's orbit and the bound nan, with a leaked
+    # RuntimeWarning (a traceback under -W error::RuntimeWarning)
+    doc = {**CLASSIFY_DOC, "maps": HUGE_SLOPE_MAPS[::-1], "x0": 0.0,
+           "sequence": {"type": "periodic", "pattern": [1, 2]}}
+    inp = write(tmp_path, "zero.json", doc)
+    assert main(["classify", "--input", inp, "--n-max", "50"]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["final_orbit_g"] == report["final_bound"] == report["final_orbit_f"] == 0.0

@@ -1,5 +1,7 @@
 """Strict JSON document parsing."""
 
+import math
+
 import pytest
 
 from ifsconj import config
@@ -120,6 +122,37 @@ def test_parse_domain():
         config.parse_domain({"R": -1.0})
     with pytest.raises(SchemaError):
         config.parse_domain({"radius": 1.0})
+
+
+# domain.R and --radius share one rule; an infinite R reached linspace
+@pytest.mark.parametrize("r", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_domain_radius_must_be_positive_and_finite(r):
+    with pytest.raises(SchemaError, match=r"^domain\.R must be positive and finite$"):
+        config.parse_domain({"R": r})
+
+
+@pytest.mark.parametrize("value, ok", [
+    (1e-300, True), (5e-324, True), (1e308, True),
+    (0.0, False), (-0.0, False), (-1.0, False), (math.inf, False), (math.nan, False),
+])
+def test_positive_finite(value, ok):
+    if ok:
+        assert config.positive_finite(value, "--delta") == value
+    else:
+        with pytest.raises(SchemaError, match="^--delta must be positive and finite$"):
+            config.positive_finite(value, "--delta")
+
+
+@pytest.mark.parametrize("value, ok", [
+    (0.0, True), (-0.0, True), (1e-9, True), (1e308, True),
+    (-5e-324, False), (-1.0, False), (math.inf, False), (math.nan, False),
+])
+def test_finite_non_negative(value, ok):
+    if ok:
+        assert config.finite_non_negative(value, "--tolerance") == value
+    else:
+        with pytest.raises(SchemaError, match="^--tolerance must be finite and non-negative$"):
+            config.finite_non_negative(value, "--tolerance")
 
 
 def test_parse_diagonal_maps():

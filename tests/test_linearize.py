@@ -347,6 +347,16 @@ def test_fate_orbit_past_the_float_range_leaks_no_warning(maps, pattern, x0):
     assert np.isinf(rep.orbit_g_abs).any() and np.isinf(rep.bound).any()
 
 
+@pytest.mark.parametrize("x0", [0.0, -0.0])
+def test_fate_orbit_of_zero_is_zero_past_the_float_range(x0):
+    # the slope product overflows to inf, and inf * 0 was nan with a leaked
+    # RuntimeWarning; the orbit of 0 is 0, and so is its bound
+    F = IfsDescriptor((linear(0.5), linear(1e308)))
+    rep = classify_sequence_fate(F, PeriodicSequence((1, 2)), 50, x0, 0.1)
+    for column in (rep.orbit_f_abs, rep.orbit_g_abs, rep.bound):
+        assert np.array_equal(column, np.zeros(50))
+
+
 def test_fate_bernoulli_matches_expected_log_slope():
     p = 0.5
     rep = classify_sequence_fate(

@@ -157,6 +157,14 @@ def test_audit_continuum_raises():
         hyperbolicity_audit(IfsDescriptor((linear(1.0),)))
 
 
+# at radius 0 the one-point scan grid read linear(0.5) as a continuum of
+# fixed points, and a negative radius scanned a reversed grid
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+def test_audit_refuses_a_degenerate_interval(radius):
+    with pytest.raises(ValueError, match="interval is degenerate"):
+        hyperbolicity_audit(IfsDescriptor((linear(0.5),)), radius)
+
+
 def test_probe_contractive_family_all_pass():
     F = IfsDescriptor((linear(0.5), linear(0.25)))
     rep = perturbation_probe(F, 0.01, 20, seed=42)
