@@ -437,18 +437,19 @@ FLAGS = {
     "--input": ({"help": "path to the JSON input document"}, None),
     "--output": ({"help": "report file path (atomic write); stdout if omitted"}, None),
     "--format": ({"choices": ("json", "csv"), "default": "json"}, None),
-    "--seed": ({"type": int, "help": "seed override"}, None),
+    "--seed": ({"type": int, "help": "seed override"}, config.non_negative),
     "--grid": ({"type": int, "default": 1001, "help": "grid points per check"},
                functools.partial(config.bounded_count, least=2)),
     "--tolerance": ({"type": float, "default": 1e-8, "help": "residual tolerance"},
                     config.finite_non_negative),
     "--radius": ({"type": float, "help": "working interval half-width "
                   f"(default from document, else {DEFAULT_RADIUS})"}, config.positive_finite),
-    "--n-max": ({"type": int, "help": "composition depth override"}, config.bounded_count),
+    "--n-max": ({"type": int, "help": "composition depth override"},
+                functools.partial(config.bounded_count, least=1)),
     "--level": ({"type": int, "choices": (0, 1), "default": 1}, None),
     "--delta": ({"type": float, "default": 0.01, "help": "admissible C1 distance"},
                 config.positive_finite),
-    "--trials": ({"type": int, "default": 50}, config.bounded_count),
+    "--trials": ({"type": int, "default": 50}, functools.partial(config.bounded_count, least=0)),
 }
 _COMMON_FLAGS = ("--input", "--output", "--format")
 

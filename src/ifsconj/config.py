@@ -47,6 +47,14 @@ def bounded_count(value: int, field: str, least: int | None = None) -> int:
     return value
 
 
+def non_negative(value: int, field: str) -> int:
+    """value, or SchemaError naming field when it is below 0: the rule of
+    --seed, which seeds numpy's generators at any size."""
+    if value < 0:
+        raise SchemaError(f"{field} must be at least 0", field=field)
+    return value
+
+
 def positive_finite(value: float, field: str) -> float:
     """value, or SchemaError naming field unless 0 < value < inf: the rule of
     a radius (--radius, domain.R) and of --delta."""

@@ -12,12 +12,16 @@ disagree, else "attract-repel-mismatch". Diagonal families on R^m add
 "pooled-interval-mix" (the coordinates disagree with each other). Both
 errors are CLI exit 2. The Hartman-Grobman case of a linear part is read
 off the class: none is case 1, attract-repel case 2, orientation inapplicable.
+same_interval_rows answers slope_feasibility's pass-or-not for each row of
+a slope array at once.
 """
 
 from __future__ import annotations
 
 import math
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import HypothesisError
 
@@ -63,3 +67,16 @@ def slope_feasibility(slopes) -> SlopeFeasibility:
         mixed_signs = len({s > 0 for s in slopes}) > 1
         obstruction = OBSTRUCTION_ORIENTATION if mixed_signs else OBSTRUCTION_ATTRACT_REPEL
     return SlopeFeasibility(tags, boundary, mismatch, obstruction)
+
+
+def same_interval_rows(slopes) -> np.ndarray:
+    """Per row of a 2-d slope array, whether slope_feasibility of the row
+    passes: every slope finite, off the boundary and in the interval of the
+    row's first slope. A row it would raise on (a nan or infinite slope) is
+    False, as is one with a boundary slope or an obstruction."""
+    s = np.asarray(slopes, dtype=float)
+    a = np.abs(s)
+    # one code per interval on the finite slopes off the boundary
+    code = 2 * (s > 0) + (a < 1.0)
+    ok = np.isfinite(s) & (a != 0.0) & (a != 1.0) & (code == code[:, :1])
+    return ok.all(axis=1)

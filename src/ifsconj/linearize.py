@@ -277,6 +277,8 @@ def classify_sequence_fate(
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if not epsilon >= 0:  # nan included
+        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     lp = linear_part(F)
     if lp.hg_case != CASE_MIXED_RATIO:
         raise WrongCaseError(
@@ -304,8 +306,12 @@ def classify_sequence_fate(
     a1 = float(np.max(np.abs(slopes[contracting])))
     a2 = float(np.max(np.abs(slopes[~contracting])))
     log_bound = n1 * math.log(a1 + epsilon) + n2 * math.log(a2 + epsilon)
-    if x0 == 0:  # the orbit of 0 is 0, where an overflowed product times 0 is nan
+    # the orbits of 0 and of +-inf under nonzero slopes are 0 and inf, where
+    # an overflowed product times 0, or an underflowed one times inf, is nan
+    if x0 == 0:
         orbit_g, bound = np.zeros((2, n_max))
+    elif math.isinf(x0):
+        orbit_g, bound = np.full((2, n_max), math.inf)
     else:
         with np.errstate(over="ignore"):
             orbit_g = np.exp(log_g) * abs(x0)

@@ -11,9 +11,12 @@ gives +-inf, the IEEE value of k*x, without a RuntimeWarning. Maps must be
 strictly monotone, read from their exact f' range. Each call profiles the
 maps it compares once (values, inverse, derivative on the grid) as rows of
 catalog.MapStack stacks, bit for bit as alone: a one-row stack per map, or
-in the perturbation probe one per map index, a row per candidate. An
-admitted trial's weak conjugacies of the linear parts are checked by the
-test the grid residual reduces to (_holds_on_grid).
+in the perturbation probe one per map index, a row per candidate. The weak
+conjugacies of the linear parts of a probe round's admitted trials are
+decided as arrays: the slopes at 0 of a trial, its composite slopes and the
+test the grid residual reduces to (_holds_on_grid) are rows, and h_n is
+built and evaluated only where a closed-form bound on ln|h_n| leaves the
+test undecided (_stays_finite).
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import intervals
 from .catalog import KIND_LIPSCHITZ, MapStack, Perturbation, ScalarMap
-from .conjugacy import same_interval_test, weak_conjugacy_linear
+from .conjugacy import build_linear_conjugacy, same_interval_test
 from .defaults import BORDERLINE_TOL, DEFAULT_RADIUS, HYPERBOLIC_TOL
 from .errors import (
     ContinuumOfFixedPointsError,
@@ -37,7 +41,6 @@ from .errors import (
 from .ifs import IfsDescriptor
 from .linearize import linear_part
 from .rootfind import monotone_inverse_batch
-from .sequences import ExplicitSequence
 
 
 @dataclass(frozen=True)
@@ -341,21 +344,84 @@ def _holds_on_grid(h, radius: float) -> bool:
         return False
 
 
-def _weakly_conjugate(f_lin: IfsDescriptor, G: IfsDescriptor, rng, radius) -> bool:
-    """Whether the linear parts of F and G pass the weak-conjugacy check
-    along a sequence drawn from rng, for n in {1, 5, 10}: composites of
-    linear maps are linear, and h_n is checked as the conjugacy of the
-    composite slopes it holds, h.k and h.m."""
-    try:
-        g_lin = linear_part(G).linear_ifs
-        alphabet = f_lin.alphabet
-        sigma = ExplicitSequence(
-            tuple(rng.integers(1, len(alphabet) + 1, size=10)), alphabet
-        )
-        hs = [weak_conjugacy_linear(f_lin, g_lin, sigma, n) for n in (1, 5, 10)]
-    except IfsConjError:
-        return False
-    return all(_holds_on_grid(h, radius) for h in hs)
+# ln of the largest float: a value whose log is past it overflows
+_LN_MAX = math.log(np.finfo(np.float64).max)
+# slack of the closed-form overflow decision; _stays_finite derives it
+_SLACK = 1e-9
+
+
+def _stays_finite(k: np.ndarray, m: np.ndarray, radius: float) -> np.ndarray:
+    """_holds_on_grid(build_linear_conjugacy(k, m), radius) for each entry
+    of finite, nonzero slopes k, m in one slope interval, as an array.
+
+    With the core slopes kc, mc in (0, 1) of h and its anchor 1, fd_eval
+    gives X = max(1, |k|)*radius > 1 an orbit exponent e = -n and
+    h(X) = max(y*mc**e, top*mc**(e + 1)), with the bridge value y <= top and
+    top = 1 up to a few roundings. So, with L = ln X / ln(1/kc) and
+    lam = ln(1/mc),
+
+        (n - 1)*lam <= ln|h(X)| <= n*lam,   L <= n < L + 1.
+
+    A finite X <= 1 gives |h(X)| <= top. The kernel reads n off floats: a
+    log estimate within a relative 3 eps of L, moved toward the seams
+    kc**-j, or at most 8 rounded steps; the seams carry a few ulps. Its n
+    is the exact n of some X' with ln X' within 10 eps (2.2e-15), relative
+    and absolute, of ln X. _SLACK = 1e-9 widens ln X by that much, and ln|h|
+    by as much for the roundings of top, of mc**e and of the bounds
+    themselves (a few eps times 710). What these bounds decide is exact;
+    the band between them, about 2*lam wide, is left to _holds_on_grid.
+    """
+    x = np.maximum(1.0, np.abs(k)) * radius
+    kc, mc = np.abs(k), np.abs(m)
+    # expansive slopes are built on their reciprocals, as core_slopes does
+    flip = kc > 1.0
+    kc[flip], mc[flip] = 1.0 / kc[flip], 1.0 / mc[flip]
+    lx = np.log(x)
+    spread = _SLACK * (1.0 + np.abs(lx))
+    ratio = np.log(mc) / np.log(kc)  # lam / ln(1/kc)
+    lam = -np.log(mc)
+    finite = (x <= 1.0) | ((lx + spread) * ratio + lam < _LN_MAX - _SLACK)
+    overflows = (x == math.inf) | ((lx - spread) * ratio - lam > _LN_MAX + _SLACK)
+    for i in np.flatnonzero(~(finite | overflows)):
+        finite[i] = _holds_on_grid(build_linear_conjugacy(k[i], m[i]), radius)
+    return finite
+
+
+# the n of each trial's weak conjugacies h_n, along its 10 random symbols
+_DEPTHS = (1, 5, 10)
+
+
+def _composite_slopes(slopes: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """Slopes of the n-step composites, n in _DEPTHS, one row per row of
+    slopes along the same row of symbols (0-based): running products, which
+    multiply in the order of math.prod and so give effective_slope's bits
+    for nonzero slopes."""
+    picked = np.take_along_axis(slopes, symbols, axis=1)
+    return np.cumprod(picked, axis=1)[:, [n - 1 for n in _DEPTHS]]
+
+
+# rows that failed may hold 0, +-inf or nan slopes and products
+@np.errstate(all="ignore")
+def _weak_round(f_slopes: np.ndarray, g_slopes: np.ndarray, symbols: np.ndarray,
+                radius: float) -> np.ndarray:
+    """Which trials of a round pass the weak-conjugacy check of the linear
+    parts: row t of g_slopes holds the slopes at 0 of trial t's candidate,
+    row t of symbols its 10 symbols (0-based), and f_slopes those of F.
+
+    A trial passes where weak_conjugacy_linear would build h_n for n in
+    {1, 5, 10} without an IfsConjError (every pooled slope finite, off the
+    boundary and in one interval; no composite slope 0 or +-inf) and each
+    h_n passes _holds_on_grid, decided by _stays_finite. The check that the
+    candidate fixes the origin always passes: a catalog map does.
+    """
+    rows = np.broadcast_to(f_slopes, g_slopes.shape)
+    ok = intervals.same_interval_rows(np.hstack([rows, g_slopes]))
+    k = _composite_slopes(rows, symbols)
+    m = _composite_slopes(g_slopes, symbols)
+    ok &= ((k != 0.0) & (m != 0.0) & np.isfinite(k) & np.isfinite(m)).all(axis=1)
+    finite = _stays_finite(k[ok].ravel(), m[ok].ravel(), radius)
+    ok[ok] = finite.reshape(-1, len(_DEPTHS)).all(axis=1)
+    return ok
 
 
 def perturbation_probe(
@@ -370,8 +436,9 @@ def perturbation_probe(
     Each trial jitters slopes (and bump amplitudes) with its own generator,
     seeded by (seed, trial), until the index-paired C1 distance drops below
     delta, then checks interval feasibility and the conjugacy residual of
-    the linear parts along a pinned random sequence for n in {1, 5, 10},
-    as verify_conjugacy on the 257-point grid would (_holds_on_grid).
+    the linear parts along 10 random symbols, drawn last from its generator,
+    for n in {1, 5, 10}, as verify_conjugacy on the 257-point grid would
+    (_weak_round, one array pass over a round's admitted trials).
     Trials whose perturbation crosses an interval boundary count as
     failures, not generation errors. A candidate with a map that is not
     strictly monotone is not admissible and is redrawn.
@@ -415,7 +482,7 @@ def perturbation_probe(
     except IfsConjError:
         # no candidate can be compared with F, so every attempt would fail
         raise exhausted from None
-    f_lin = linear_part(F).linear_ifs
+    f_slopes = linear_part(F).slopes
     attempts = 0
     passes = 0
     started = 0
@@ -429,11 +496,17 @@ def perturbation_probe(
             raise exhausted
         attempts += len(pending)
         cands = [tuple(_jitter_map(m, scale, rng) for m in F.maps) for rng in pending]
-        carried = []
+        carried, admitted = [], []
         for rng, maps, g_profiles in zip(pending, cands, _candidate_profiles(cands, radius)):
             if g_profiles is not None and _paired_rho1(f_profiles, g_profiles) < delta:
-                passes += _weakly_conjugate(f_lin, IfsDescriptor(maps), rng, radius)
+                admitted.append((rng, maps))
             else:
                 carried.append(rng)
+        if admitted:
+            # each admitted trial draws its symbols last from its generator
+            symbols = np.array([rng.integers(1, len(F.maps) + 1, size=_DEPTHS[-1])
+                                for rng, _ in admitted]) - 1
+            g_slopes = np.array([[g.slope_at_zero for g in maps] for _, maps in admitted])
+            passes += int(_weak_round(f_slopes, g_slopes, symbols, radius).sum())
         pending = carried
     return ProbeReport(delta, trials, passes, attempts, seed)

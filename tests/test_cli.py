@@ -974,3 +974,46 @@ def test_classify_orbit_of_zero_past_the_float_range(tmp_path, capsys):
     assert main(["classify", "--input", inp, "--n-max", "50"]) == 0
     report = json.loads(capsys.readouterr().out)["report"]
     assert report["final_orbit_g"] == report["final_bound"] == report["final_orbit_f"] == 0.0
+
+
+# these flags had no rule of their own: the library's range checks refused
+# them with messages that named no flag (numpy's "expected non-negative
+# integer", "trials must be >= 0", "n must be >= 1", "n_max must be >= 1")
+@pytest.mark.parametrize("command, flag, value, message", [
+    (command, "--seed", "-1", "must be at least 0") for command in ("multidim", "probe", "attractor")
+] + [
+    ("probe", "--trials", "-1", "must be at least 0"),
+] + [
+    (command, "--n-max", value, "must be at least 1")
+    for command in ("orbit", "classify", "multidim") for value in ("0", "-5")
+])
+def test_flag_below_its_least_value_exits_1_naming_the_flag(tmp_path, capsys, command, flag,
+                                                            value, message):
+    flag_refused(tmp_path, capsys, command, flag, value, message)
+
+
+def test_seed_has_no_upper_bound(tmp_path, capsys):
+    inp = write(tmp_path, "probe.json", PROBE_DOC)
+    assert main(["probe", "--input", inp, "--trials", "2", f"--seed={2**31 - 1}"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["seed"] == 2**31 - 1
+
+
+@pytest.mark.parametrize("x0", [float("inf"), float("-inf")])
+def test_classify_orbit_of_infinity_is_infinite(tmp_path, capsys, x0):
+    # 0 * inf, where the slope product underflows, made the linear part's
+    # orbit and the bound nan, with a leaked RuntimeWarning
+    doc = {**CLASSIFY_DOC, "x0": x0, "sequence": {"type": "periodic", "pattern": [1, 1, 1, 2]}}
+    inp = write(tmp_path, "inf.json", doc)
+    assert main(["classify", "--input", inp, "--n-max", "4000"]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["final_orbit_g"] == report["final_bound"] == "inf"
+
+
+@pytest.mark.parametrize("epsilon", [-1.0, float("nan"), float("-inf")])
+def test_classify_refuses_an_epsilon_below_zero(tmp_path, capsys, epsilon):
+    # -1 exited with a raw "math domain error", and nan with exit 0 and a nan bound
+    inp = write(tmp_path, "eps.json", {**CLASSIFY_DOC, "epsilon": epsilon})
+    assert main(["classify", "--input", inp]) == 1
+    captured = capsys.readouterr()
+    assert (captured.err, captured.out) == (
+        f"ifsconj classify: epsilon must be >= 0, got {epsilon}\n", "")

@@ -128,6 +128,20 @@ def test_sites_agree_on_boundary_and_obstruction(slopes):
         assert column == intervals.OBSTRUCTION_COORDINATE_MIX
 
 
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.lists(st.lists(st.one_of(SLOPES, st.sampled_from([math.nan, math.inf, -0.0])),
+                         min_size=3, max_size=3), min_size=1, max_size=4))
+def test_same_interval_rows_is_slope_feasibility_per_row(rows):
+    def passes(slopes):
+        try:
+            fs = slope_feasibility(slopes)
+        except HypothesisError:
+            return False
+        return fs.boundary is None and fs.obstruction is None
+
+    assert intervals.same_interval_rows(rows).tolist() == [passes(r) for r in rows]
+
+
 # -- the policy stays in one place ---------------------------------------------
 
 OBSTRUCTION_STRINGS = {

@@ -1,5 +1,6 @@
 """Linear parts, Koenigs tables, decay bounds and sequence fate."""
 
+import math
 import os
 import subprocess
 import sys
@@ -355,6 +356,22 @@ def test_fate_orbit_of_zero_is_zero_past_the_float_range(x0):
     rep = classify_sequence_fate(F, PeriodicSequence((1, 2)), 50, x0, 0.1)
     for column in (rep.orbit_f_abs, rep.orbit_g_abs, rep.bound):
         assert np.array_equal(column, np.zeros(50))
+
+
+@pytest.mark.parametrize("x0", [math.inf, -math.inf])
+def test_fate_orbit_of_infinity_is_infinite(x0):
+    # the slope product underflows to 0 at n = 4000, and 0 * inf was nan with
+    # a leaked RuntimeWarning; the orbit of +-inf under nonzero slopes is inf
+    F = IfsDescriptor((linear(0.5), linear(2.0)))
+    rep = classify_sequence_fate(F, PeriodicSequence((1, 1, 1, 2)), 4000, x0, 0.1)
+    for column in (rep.orbit_g_abs, rep.bound):
+        assert np.array_equal(column, np.full(4000, math.inf))
+
+
+@pytest.mark.parametrize("epsilon", [-0.1, math.nan, -math.inf])
+def test_fate_refuses_an_epsilon_below_zero(epsilon):
+    with pytest.raises(ValueError, match="epsilon must be >= 0"):
+        classify_sequence_fate(case2_ifs(), PeriodicSequence((1, 2)), 10, 1.0, epsilon)
 
 
 def test_fate_bernoulli_matches_expected_log_slope():

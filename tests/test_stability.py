@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ifsconj.stability as stab
+from ifsconj import _kernels
 from ifsconj import (
     IfsDescriptor,
     compare_maps,
@@ -576,7 +577,12 @@ PROBE_CASES = [pin[:4] for pin in PROBE_PINS[:5]] + [
     # more trials than one round profiles together
     ((linear(0.998),), 0.5, 70, 11),
     ((linear_plus_lipschitz(0.3, sine_bump(0.3)), SMOOTH), 0.01, 70, 2),
-] + [pin[:4] for pin in PROBE_PINS[5:]]
+] + [pin[:4] for pin in PROBE_PINS[5:]] + [
+    # negative slopes: the composite slopes alternate in sign
+    ((linear(-0.5), linear_plus_lipschitz(-0.4, sine_bump(0.05))), 0.01, 12, 6),
+    # k_10 = 1e310 overflows: every admitted trial fails at n = 10
+    ((linear(1e31), linear(2e31)), 0.5, 6, 2),
+]
 
 
 @pytest.mark.parametrize("maps, delta, trials, seed", PROBE_CASES)
@@ -597,6 +603,124 @@ def test_probe_budget_matches_trial_by_trial_loop(monkeypatch, every, seed, rais
     got = probe_outcome(perturbation_probe, maps, 0.01, 3, seed)
     assert got == probe_outcome(perturbation_probe_reference, maps, 0.01, 3, seed)
     assert (got[0] == "GenerationError") == raises
+
+
+# -- a round's weak conjugacies as arrays, against the per-trial check ------
+
+def weakly_conjugate_reference(f_slopes, g_slopes, symbols, radius):
+    """The weak-conjugacy check of one trial, one h at a time: h_n for n in
+    {1, 5, 10} from weak_conjugacy_linear along the symbols (1-based), each
+    checked by _holds_on_grid; an IfsConjError fails the trial."""
+    F = IfsDescriptor(tuple(linear(s) for s in f_slopes))
+    try:
+        g_lin = linear_part(IfsDescriptor(tuple(linear(s) for s in g_slopes))).linear_ifs
+        sigma = ExplicitSequence(tuple(symbols), F.alphabet)
+        hs = [weak_conjugacy_linear(F, g_lin, sigma, n) for n in (1, 5, 10)]
+    except IfsConjError:
+        return False
+    return all(stab._holds_on_grid(h, radius) for h in hs)
+
+
+def family_slopes(data, interval, size):
+    """size slopes of one interval, 0 = (0,1), 1 = (1,inf), 2 = (-1,0),
+    3 = (-inf,-1), log-uniform over e**+-1 or e**+-160: products of 5 or
+    10 of the latter may leave the float range."""
+    top = data.draw(st.sampled_from([1.0, 160.0]))
+    lo, hi = (-top, -1e-3) if interval in (0, 2) else (1e-3, top)
+    sign = 1.0 if interval < 2 else -1.0
+    return [sign * math.exp(data.draw(st.floats(lo, hi))) for _ in range(size)]
+
+
+def power_slopes(data, f_slopes, symbols, radius):
+    """Slopes |f|**alpha of f's signs, so that h_n(X) is about X**alpha.
+    Either alpha makes ln|h_n(X)| within 10 of the float max's log for one
+    n, where the bound decides if ln(1/mc) is small and the exact check if
+    not, or alpha is log-uniform over e**+-7, where the bound decides most
+    overflows."""
+    n = data.draw(st.sampled_from([1, 5, 10]))
+    k = math.prod(f_slopes[s - 1] for s in symbols[:n])
+    x = max(1.0, abs(k)) * radius
+    if data.draw(st.booleans()) and k != 0.0 and 1.0 < x < math.inf:
+        alpha = (stab._LN_MAX + data.draw(st.floats(-10.0, 10.0))) / math.log(x)
+    else:
+        alpha = math.exp(data.draw(st.floats(-7.0, 7.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return [math.copysign(float(np.float64(abs(f)) ** alpha), f) for f in f_slopes]
+
+
+WILD_SLOPES = [0.0, -0.0, 1.0, -1.0, math.nan, math.inf, -math.inf, 0.5, -0.5, 2.0, -2.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_weak_round_matches_the_per_trial_check(data):
+    interval = data.draw(st.integers(0, 3))
+    size = data.draw(st.integers(1, 3))
+    f_slopes = family_slopes(data, interval, size)
+    radius = data.draw(st.sampled_from([10.0, 0.5, 123.4, 1e6]))
+    rows, syms = [], []
+    for _ in range(data.draw(st.integers(1, 4))):
+        symbols = data.draw(st.lists(st.integers(1, size), min_size=10, max_size=10))
+        how = data.draw(st.sampled_from(["jitter", "power", "interval", "wild"]))
+        if how == "jitter":
+            g = [f * (1.0 + data.draw(st.floats(-1e-3, 1e-3))) for f in f_slopes]
+        elif how == "power":
+            g = power_slopes(data, f_slopes, symbols, radius)
+        elif how == "interval":
+            g = family_slopes(data, data.draw(st.integers(0, 3)), size)
+        else:
+            g = [data.draw(st.sampled_from(WILD_SLOPES)) for _ in f_slopes]
+        rows.append(g)
+        syms.append(symbols)
+    got = stab._weak_round(np.array(f_slopes), np.array(rows), np.array(syms) - 1, radius)
+    want = [weakly_conjugate_reference(f_slopes, g, s, radius) for g, s in zip(rows, syms)]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("k, m, radius, exact", [
+    # ln h(10) is about 705.3 and ln(1/mc) 0.31: the bound decides, finite
+    (0.999, 0.999 ** 306.3, 10.0, False),
+    (-1.001, -(1.001 ** 306.3), 10.0, False),
+    # ln h(1e3) is about 2763 and ln(1/mc) 277: the bound decides, overflow
+    (0.5, 0.5 ** 400, 1e3, False),
+    # ln h(10) is about 691 but ln(1/mc) is 208: only h(10) itself decides
+    (0.5, 0.5 ** 300, 10.0, True),
+    (2.0, 2.0 ** 300, 10.0, True),
+    (0.5, 0.25, 10.0, False),
+])
+def test_stays_finite_falls_back_only_inside_the_band(monkeypatch, k, m, radius, exact):
+    want = stab._holds_on_grid(build_linear_conjugacy(k, m), radius)
+    calls = []
+    checked = stab._holds_on_grid
+    monkeypatch.setattr(stab, "_holds_on_grid", lambda h, r: calls.append(h) or checked(h, r))
+    assert stab._stays_finite(np.array([k]), np.array([m]), radius).tolist() == [want]
+    assert bool(calls) == exact
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_composite_slopes_are_effective_slope_bit_for_bit(data):
+    # nonzero slopes only: a trial with a zero slope fails its interval test
+    size = data.draw(st.integers(1, 4))
+    magnitude = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+    slopes = [data.draw(magnitude) * data.draw(st.sampled_from([1.0, -1.0]))
+              for _ in range(size)]
+    symbols = data.draw(st.lists(st.integers(1, size), min_size=10, max_size=10))
+    with np.errstate(over="ignore", under="ignore"):
+        got = stab._composite_slopes(np.array([slopes]), np.array([symbols]) - 1)[0]
+    F = IfsDescriptor(tuple(linear(s) for s in slopes))
+    sigma = ExplicitSequence(tuple(symbols), F.alphabet)
+    want = np.array([effective_slope(F, sigma, n) for n in (1, 5, 10)])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def test_probe_of_nonlinear_maps_evaluates_no_h(monkeypatch):
+    calls = []
+    fd_eval = _kernels.fd_eval
+    monkeypatch.setattr(_kernels, "fd_eval", lambda *a: calls.append(a) or fd_eval(*a))
+    rep = perturbation_probe(IfsDescriptor((SMOOTH, SINE)), 0.01, 10, 7)
+    assert (rep.passes, rep.attempts, calls) == (10, 10, [])
 
 
 @pytest.mark.parametrize("grid", [1, 0, -3])
